@@ -14,12 +14,12 @@ namespace {
 
 /// The naive Appendix-A strawman: "CPE is the interceptor if the A-record
 /// answer from the CPE's public IP equals the answer from the resolver."
-bool naive_arecord_says_cpe(core::QueryTransport& transport,
+bool naive_arecord_says_cpe(core::AsyncQueryTransport& engine,
                             const netbase::IpAddress& cpe_public_ip) {
   auto example = *dnswire::DnsName::parse("example.com");
   auto ask = [&](const netbase::Endpoint& server) -> std::optional<netbase::IpAddress> {
     auto query = dnswire::make_query(0x7a7a, example, dnswire::RecordType::A);
-    auto result = transport.query(server, query);
+    auto result = core::query_one(engine, server, query);
     if (!result.answered()) return std::nullopt;
     return result.response->first_address();
   };

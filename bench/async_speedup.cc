@@ -1,11 +1,12 @@
-// Async engine speedup: the batched UdpEngine vs the blocking UdpTransport
-// over real loopback sockets, with identical verdicts as the gate.
+// Async engine speedup: the batched UdpEngine vs the same engine admitting
+// one query at a time (Config::max_inflight = 1), over real loopback
+// sockets, with identical verdicts as the gate.
 //
 // The setup reproduces the paper's worst realistic conditions for a
 // sequential prober: every query pays a round-trip delay, every answered
 // query then sits through the duplicate-collection window (replication
 // detection, §3.1), and a content-keyed ~5% burst loss makes a few queries
-// time out through their whole retry budget. The blocking engine pays those
+// time out through their whole retry budget. The blocking leg pays those
 // costs as a SUM (one query at a time); the batched engine pays the MAX per
 // stage (all of a stage's queries in flight together), so the probe's wall
 // clock drops by roughly (queries per probe / pipeline stages).
@@ -38,7 +39,6 @@
 #include "netbase/bogon.h"
 #include "sockets/loopback_server.h"
 #include "sockets/udp_engine.h"
-#include "sockets/udp_transport.h"
 
 using namespace dnslocate;
 
@@ -126,8 +126,7 @@ core::PipelineConfig bench_config(const netbase::IpAddress& cpe_ip) {
 /// resolvers' primary + secondary v4 and v6 service addresses, the CPE's
 /// public IP, and the default bogon probe — the socket-level equivalent of
 /// a CPE that DNATs all of port 53.
-template <typename Mapped>
-void map_world(Mapped& transport, const netbase::Endpoint& target,
+void map_world(core::MappedBatchTransport& transport, const netbase::Endpoint& target,
                const netbase::IpAddress& cpe_ip) {
   for (PublicResolverKind kind : resolvers::all_public_resolvers()) {
     const auto& spec = resolvers::PublicResolverSpec::get(kind);
@@ -157,7 +156,7 @@ int main(int argc, char** argv) {
   const auto response_delay = std::chrono::milliseconds(smoke ? 10 : 30);
   const int rounds = smoke ? 1 : 3;
 
-  bench::heading("Async engine speedup: batched UdpEngine vs blocking UdpTransport");
+  bench::heading("Async engine speedup: UdpEngine batched vs max_inflight=1");
 
   // One loopback interceptor plays the CPE-DNAT world: it answers every
   // resolver address, the CPE's public IP, and the bogon, as a dnsmasq
@@ -172,8 +171,10 @@ int main(int argc, char** argv) {
   auto cpe_ip = *netbase::IpAddress::parse("203.0.113.7");
   core::PipelineConfig config = bench_config(cpe_ip);
 
-  sockets::UdpTransport udp;
-  core::MappedTransport blocking(udp);
+  sockets::UdpEngine::Config one_at_a_time;
+  one_at_a_time.max_inflight = 1;
+  sockets::UdpEngine serial_engine(one_at_a_time);
+  core::MappedBatchTransport blocking(serial_engine);
   map_world(blocking, interceptor.endpoint(), cpe_ip);
 
   sockets::UdpEngine engine;
@@ -192,11 +193,7 @@ int main(int argc, char** argv) {
       bool run_blocking = (round + leg) % 2 == 0;
       core::LocalizationPipeline pipeline(config);
       auto start = Clock::now();
-      // MappedBatchTransport serves both engine interfaces; the cast picks
-      // its batched side (the blocking leg uses the plain MappedTransport).
-      core::ProbeVerdict verdict =
-          run_blocking ? pipeline.run(blocking)
-                       : pipeline.run(static_cast<core::AsyncQueryTransport&>(async));
+      core::ProbeVerdict verdict = pipeline.run(run_blocking ? blocking : async);
       double ms = std::chrono::duration<double, std::milli>(Clock::now() - start).count();
       (run_blocking ? blocking_ms : async_ms).push_back(ms);
       signatures.push_back((run_blocking ? "blocking\n" : "async\n") +

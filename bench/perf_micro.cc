@@ -96,7 +96,7 @@ void BM_SimQueryRoundTrip(benchmark::State& state) {
   netbase::Endpoint server{quad9.service_v4[0], netbase::kDnsPort};
   for (auto _ : state) {
     query.id++;
-    benchmark::DoNotOptimize(scenario.transport().query(server, query));
+    benchmark::DoNotOptimize(core::query_one(scenario.transport(), server, query));
   }
 }
 BENCHMARK(BM_SimQueryRoundTrip);
@@ -312,7 +312,7 @@ int run_exchange_smoke(const char* json_path) {
   auto kernel_rep = [&] {
     for (int i = 0; i < kExchangesPerRep; ++i) {
       query.id++;
-      benchmark::DoNotOptimize(scenario.transport().query(server, query));
+      benchmark::DoNotOptimize(core::query_one(scenario.transport(), server, query));
     }
   };
   auto inline_rep = [&] {

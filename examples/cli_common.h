@@ -66,8 +66,6 @@ struct CommonCli {
   const char* metrics_out = nullptr;
   const char* trace_out = nullptr;
   long trace_buffer_events = 8192;
-  atlas::QueryEngine engine = atlas::QueryEngine::async;
-  long max_inflight = 64;
   long shards = 1;
 
   static constexpr const char* kUsage =
@@ -76,12 +74,6 @@ struct CommonCli {
       "  --probe-deadline-ms N bound each probe's wall clock (overruns recorded as\n"
       "                        deadline_exceeded with a partial verdict)\n"
       "  --max-failures N      stop dispatching new probes after N failures\n"
-      "  --engine MODE         per-stage query execution: 'async' (batched fan-out,\n"
-      "                        default) or 'blocking' (historical sequential loop);\n"
-      "                        both produce identical verdicts\n"
-      "  --max-inflight N      cap concurrently outstanding queries per batch when a\n"
-      "                        socket engine fans out (default 64; simulated probes\n"
-      "                        ignore this)\n"
       "  --shards N            shard the fleet across N worker shards (stable hash of\n"
       "                        probe id; per-probe results are identical at any shard\n"
       "                        count; 0 = one shard per hardware thread)\n"
@@ -112,17 +104,8 @@ struct CommonCli {
       trace_out = v5;
     } else if (const char* v6 = value("--trace-buffer-events")) {
       trace_buffer_events = std::atol(v6);
-    } else if (const char* v7 = value("--engine")) {
-      auto parsed = atlas::query_engine_from(v7);
-      if (!parsed) {
-        std::fprintf(stderr, "--engine must be 'blocking' or 'async' (got '%s')\n", v7);
-        std::exit(2);
-      }
-      engine = *parsed;
-    } else if (const char* v8 = value("--max-inflight")) {
-      max_inflight = std::atol(v8);
-    } else if (const char* v9 = value("--shards")) {
-      shards = std::atol(v9);
+    } else if (const char* v7 = value("--shards")) {
+      shards = std::atol(v7);
     } else {
       return false;
     }
@@ -139,10 +122,6 @@ struct CommonCli {
       std::fprintf(stderr, "--trace-buffer-events must be positive\n");
       return false;
     }
-    if (max_inflight <= 0) {
-      std::fprintf(stderr, "--max-inflight must be positive\n");
-      return false;
-    }
     if (shards < 0) {
       std::fprintf(stderr, "--shards must be non-negative (0 = hardware threads)\n");
       return false;
@@ -157,8 +136,6 @@ struct CommonCli {
     if (probe_deadline_ms > 0)
       options.probe_deadline = std::chrono::milliseconds(probe_deadline_ms);
     if (max_failures > 0) options.max_failures = static_cast<std::size_t>(max_failures);
-    options.engine = engine;
-    options.max_inflight = static_cast<std::size_t>(max_inflight);
     options.shards = static_cast<unsigned>(shards);
   }
 

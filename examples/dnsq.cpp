@@ -1,4 +1,4 @@
-// dnsq: a minimal dig-style query tool over the library's socket transport.
+// dnsq: a minimal dig-style query tool over the library's UDP engine.
 //
 //   dnsq [@server] name [type] [+chaos] [+ttl=N] [+timeout=MS] [+retry=N] [+short]
 //
@@ -15,7 +15,7 @@
 #include <string>
 
 #include "dnswire/encoder.h"
-#include "sockets/udp_transport.h"
+#include "sockets/udp_engine.h"
 
 using namespace dnslocate;
 
@@ -101,8 +101,8 @@ int main(int argc, char** argv) {
 
   dnswire::Message query = dnswire::make_query(
       static_cast<std::uint16_t>(::getpid() & 0xffff), *name, qtype, qclass);
-  sockets::UdpTransport transport;
-  core::QueryResult result = transport.query(server, query, options);
+  sockets::UdpEngine engine;
+  core::QueryResult result = core::query_one(engine, server, query, options);
 
   if (!result.answered()) {
     std::printf(";; no response from %s within %lld ms (%u attempt%s)\n",

@@ -15,7 +15,7 @@
 
 #include "core/describe.h"
 #include "core/pipeline.h"
-#include "sockets/udp_transport.h"
+#include "sockets/udp_engine.h"
 
 using namespace dnslocate;
 
@@ -39,13 +39,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  sockets::UdpTransport transport;
+  sockets::UdpEngine engine;
   core::LocalizationPipeline pipeline(config);
   std::string previous;
   bool last_intercepted = false;
 
   for (int round = 0; round < rounds || rounds <= 0; ++round) {
-    auto verdict = pipeline.run(transport);
+    auto verdict = pipeline.run(engine);
     std::string summary = core::summarize(verdict);
     last_intercepted = verdict.intercepted();
 

@@ -1,5 +1,7 @@
 // live_probe: run the paper's technique on the *real* network this host is
-// on, over plain UDP sockets — the deployable version of the tool.
+// on, over plain UDP sockets — the deployable version of the tool. Each
+// stage's queries fan out together on sockets::UdpEngine, so a probe waits
+// for its slowest query rather than the sum of all of them.
 //
 //   live_probe [--cpe <public-ip>] [--timeout-ms N] [--no-v6]
 //
@@ -15,7 +17,7 @@
 
 #include "core/describe.h"
 #include "core/pipeline.h"
-#include "sockets/udp_transport.h"
+#include "sockets/udp_engine.h"
 
 using namespace dnslocate;
 
@@ -46,10 +48,10 @@ int main(int argc, char** argv) {
   config.bogon.query.timeout = std::chrono::milliseconds(timeout_ms);
   config.transparency.query.timeout = std::chrono::milliseconds(timeout_ms);
 
-  sockets::UdpTransport transport;
+  sockets::UdpEngine engine;
   core::LocalizationPipeline pipeline(config);
   std::printf("probing the four public resolvers with location queries...\n");
-  core::ProbeVerdict verdict = pipeline.run(transport);
+  core::ProbeVerdict verdict = pipeline.run(engine);
   std::fputs(core::describe(verdict).c_str(), stdout);
   return 0;
 }

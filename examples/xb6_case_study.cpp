@@ -30,7 +30,7 @@ int main() {
   auto query = dnswire::make_query(0xbeef, *dnswire::DnsName::parse("example.com"),
                                    dnswire::RecordType::A);
   netbase::Endpoint cloudflare{*netbase::IpAddress::parse("1.1.1.1"), netbase::kDnsPort};
-  auto result = scenario.transport().query(cloudflare, query);
+  auto result = core::query_one(scenario.transport(), cloudflare, query);
 
   std::fputs(trace.render().c_str(), stdout);
 

@@ -16,7 +16,7 @@
 #include "resolvers/resolver_behavior.h"
 #include "resolvers/zone_parser.h"
 #include "sockets/loopback_server.h"
-#include "sockets/udp_transport.h"
+#include "sockets/udp_engine.h"
 
 using namespace dnslocate;
 
@@ -57,12 +57,12 @@ int main(int argc, char** argv) {
 
   if (oneshot) {
     // Self-test: resolve the first thing we can find via the socket path.
-    sockets::UdpTransport transport;
+    sockets::UdpEngine engine;
     auto query = dnswire::make_query(1, *dnswire::DnsName::parse("version.bind"),
                                      dnswire::RecordType::TXT, dnswire::RecordClass::CH);
     core::QueryOptions options;
     options.timeout = std::chrono::milliseconds(1000);
-    auto result = transport.query(server.endpoint(), query, options);
+    auto result = core::query_one(engine, server.endpoint(), query, options);
     if (!result.answered()) {
       std::fprintf(stderr, "self-test failed\n");
       return 1;

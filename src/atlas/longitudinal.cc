@@ -10,8 +10,7 @@ std::vector<LongitudinalRound> run_longitudinal(Scenario& scenario, std::size_t 
     core::LocalizationPipeline pipeline(scenario.pipeline_config());
     LongitudinalRound entry;
     entry.round = round;
-    entry.verdict = pipeline.run(
-        static_cast<core::AsyncQueryTransport&>(scenario.transport()));
+    entry.verdict = pipeline.run(scenario.transport());
     entry.changed =
         !results.empty() && entry.verdict.location != results.back().verdict.location;
     results.push_back(std::move(entry));

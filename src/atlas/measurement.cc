@@ -98,7 +98,7 @@ ProbeRecord supervised_run(const ProbeSpec& spec, const MeasurementOptions& opti
   try {
     record = options.runner
                  ? options.runner(spec, token)
-                 : run_probe(spec, token, options.strip_raw_responses, options.engine);
+                 : run_probe(spec, token, options.strip_raw_responses);
     record.outcome = ProbeOutcome::ok;
   } catch (const std::exception& e) {
     record = ProbeRecord{};
@@ -394,20 +394,6 @@ std::optional<ProbeOutcome> probe_outcome_from(std::string_view name) {
   return std::nullopt;
 }
 
-std::string_view to_string(QueryEngine engine) {
-  switch (engine) {
-    case QueryEngine::blocking: return "blocking";
-    case QueryEngine::async: return "async";
-  }
-  return "async";
-}
-
-std::optional<QueryEngine> query_engine_from(std::string_view name) {
-  if (name == "blocking") return QueryEngine::blocking;
-  if (name == "async") return QueryEngine::async;
-  return std::nullopt;
-}
-
 std::size_t MeasurementRun::intercepted_count() const {
   std::size_t count = 0;
   for (const auto& record : records)
@@ -434,7 +420,7 @@ ProbeRecord run_probe(const ProbeSpec& spec, bool strip_raw_responses) {
 }
 
 ProbeRecord run_probe(const ProbeSpec& spec, const core::CancelToken& cancel,
-                      bool strip_raw_responses, QueryEngine engine) {
+                      bool strip_raw_responses) {
   ProbeRecord record;
   record.probe_id = spec.probe_id;
   record.org = spec.org;
@@ -450,14 +436,7 @@ ProbeRecord run_probe(const ProbeSpec& spec, const core::CancelToken& cancel,
   obs::Span probe_span("probe/run");
   record.truth = scenario.ground_truth();
   core::LocalizationPipeline pipeline(scenario.pipeline_config());
-  // SimTransport serves both engine interfaces; the cast selects whether the
-  // pipeline fans out per-stage batches or replays the historical
-  // one-query-at-a-time loop. Both yield byte-identical verdicts.
-  record.verdict =
-      engine == QueryEngine::async
-          ? pipeline.run(static_cast<core::AsyncQueryTransport&>(scenario.transport()),
-                         cancel)
-          : pipeline.run(static_cast<core::QueryTransport&>(scenario.transport()), cancel);
+  record.verdict = pipeline.run(scenario.transport(), cancel);
   record.drops = scenario.sim().drops();
   record.faults = scenario.fault_plan().counters();
   note_probe_metrics(record);

@@ -32,15 +32,6 @@ enum class ProbeOutcome : std::uint8_t {
 std::string_view to_string(ProbeOutcome outcome);
 std::optional<ProbeOutcome> probe_outcome_from(std::string_view name);
 
-/// Which engine executes each probe's per-stage query batches.
-enum class QueryEngine : std::uint8_t {
-  blocking = 0,  // historical sequential loop: one blocking query at a time
-  async = 1,     // batched fan-out (identical verdicts; see query_batch.h)
-};
-
-std::string_view to_string(QueryEngine engine);
-std::optional<QueryEngine> query_engine_from(std::string_view name);
-
 /// Everything measured (and known) about one probe.
 struct ProbeRecord {
   std::uint32_t probe_id = 0;
@@ -120,14 +111,6 @@ struct MeasurementOptions {
   /// fsync the journal at most this often (and at close). Every append
   /// still reaches the OS immediately; this only bounds power-failure loss.
   std::chrono::milliseconds journal_sync_interval = std::chrono::seconds(1);
-  /// Query engine for each probe's stage batches. Both engines produce
-  /// identical verdicts over the simulator (proved in
-  /// tests/test_engine_equivalence.cc); async is the default everywhere.
-  QueryEngine engine = QueryEngine::async;
-  /// In-flight query cap for batched engines that fan out over real sockets
-  /// (sockets::UdpEngine). Simulated probes deliver batches in one
-  /// deterministic cascade and ignore this.
-  std::size_t max_inflight = 64;
   /// Test hook: replaces run_probe as the probe executor. The supervisor
   /// still applies the try/catch, deadline token, and journaling around it.
   std::function<ProbeRecord(const ProbeSpec&, const core::CancelToken&)> runner;
@@ -171,7 +154,6 @@ ProbeRecord run_probe(const ProbeSpec& spec, bool strip_raw_responses = false);
 /// Run a single probe under a cancellation token: the token reaches the
 /// pipeline's stage checkpoints and the transport waits.
 ProbeRecord run_probe(const ProbeSpec& spec, const core::CancelToken& cancel,
-                      bool strip_raw_responses = false,
-                      QueryEngine engine = QueryEngine::async);
+                      bool strip_raw_responses = false);
 
 }  // namespace dnslocate::atlas

@@ -1,7 +1,6 @@
 #include "core/cpe_localizer.h"
 
 #include "dnswire/debug_queries.h"
-#include "core/sim_transport.h"
 
 namespace dnslocate::core {
 
@@ -63,19 +62,6 @@ CpeCheckReport CpeLocalizer::run(AsyncQueryTransport& engine,
   report.cpe_is_interceptor =
       report.cpe.has_string() && !suspects.empty() && report.matching.size() == suspects.size();
   return report;
-}
-
-CpeCheckReport CpeLocalizer::run(QueryTransport& transport,
-                                 const netbase::IpAddress& cpe_public_ip,
-                                 const std::vector<resolvers::PublicResolverKind>& suspects) {
-  BlockingBatchAdapter adapter(transport);
-  return run(adapter, cpe_public_ip, suspects);
-}
-
-CpeCheckReport CpeLocalizer::run(SimTransport& transport,
-                                 const netbase::IpAddress& cpe_public_ip,
-                                 const std::vector<resolvers::PublicResolverKind>& suspects) {
-  return run(static_cast<AsyncQueryTransport&>(transport), cpe_public_ip, suspects);
 }
 
 }  // namespace dnslocate::core

@@ -17,8 +17,6 @@
 
 namespace dnslocate::core {
 
-class SimTransport;
-
 /// One version.bind observation.
 struct VersionBindObservation {
   bool answered = false;
@@ -68,13 +66,6 @@ class CpeLocalizer {
   CpeCheckReport run(AsyncQueryTransport& engine, const netbase::IpAddress& cpe_public_ip,
                      const std::vector<resolvers::PublicResolverKind>& suspects,
                      bool* drained = nullptr);
-  /// Sequential compatibility path over a plain transport.
-  CpeCheckReport run(QueryTransport& transport, const netbase::IpAddress& cpe_public_ip,
-                     const std::vector<resolvers::PublicResolverKind>& suspects);
-  /// SimTransport serves both interfaces; prefer its (byte-identical)
-  /// batched cascade.
-  CpeCheckReport run(SimTransport& transport, const netbase::IpAddress& cpe_public_ip,
-                     const std::vector<resolvers::PublicResolverKind>& suspects);
 
  private:
   static VersionBindObservation interpret(const QueryResult& result);

@@ -1,5 +1,4 @@
 #include "core/detector.h"
-#include "core/sim_transport.h"
 
 namespace dnslocate::core {
 
@@ -104,15 +103,6 @@ DetectionReport InterceptionDetector::run(AsyncQueryTransport& engine, bool* dra
     summary.contested_v6 = v6.contested;
   }
   return report;
-}
-
-DetectionReport InterceptionDetector::run(QueryTransport& transport) {
-  BlockingBatchAdapter adapter(transport);
-  return run(adapter);
-}
-
-DetectionReport InterceptionDetector::run(SimTransport& transport) {
-  return run(static_cast<AsyncQueryTransport&>(transport));
 }
 
 }  // namespace dnslocate::core

@@ -12,8 +12,6 @@
 
 namespace dnslocate::core {
 
-class SimTransport;
-
 /// One location-query observation.
 struct LocationProbe {
   resolvers::PublicResolverKind kind{};
@@ -108,11 +106,6 @@ class InterceptionDetector {
   /// engine drained the batch (cancellation mid-flight), `*drained` is set so
   /// the caller can mark the stage skipped instead of trusting the report.
   DetectionReport run(AsyncQueryTransport& engine, bool* drained = nullptr);
-  /// Sequential compatibility path over a plain transport.
-  DetectionReport run(QueryTransport& transport);
-  /// SimTransport serves both interfaces; prefer its (byte-identical)
-  /// batched cascade.
-  DetectionReport run(SimTransport& transport);
 
  private:
   Config config_;

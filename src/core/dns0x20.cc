@@ -24,7 +24,7 @@ std::string Dns0x20Prober::encode_0x20(const std::string& name, simnet::Rng& rng
   return out;
 }
 
-Dns0x20Report Dns0x20Prober::run(QueryTransport& transport) {
+Dns0x20Report Dns0x20Prober::run(AsyncQueryTransport& engine) {
   Dns0x20Report report;
   simnet::Rng rng(config_.seed);
   for (resolvers::PublicResolverKind kind : resolvers::all_public_resolvers()) {
@@ -39,7 +39,7 @@ Dns0x20Report Dns0x20Prober::run(QueryTransport& transport) {
       continue;
     }
     dnswire::Message query = dnswire::make_query(next_id_++, *name, dnswire::RecordType::A);
-    QueryResult result = transport.query(server, query, config_.query);
+    QueryResult result = query_one(engine, server, query, config_.query);
 
     CaseEchoResult echo;
     if (!result.answered()) {

@@ -14,7 +14,7 @@
 #include <map>
 #include <string>
 
-#include "core/transport.h"
+#include "core/query_batch.h"
 #include "resolvers/public_resolver.h"
 #include "simnet/rng.h"
 
@@ -47,7 +47,7 @@ class Dns0x20Prober {
   Dns0x20Prober() = default;
   explicit Dns0x20Prober(Config config) : config_(std::move(config)) {}
 
-  Dns0x20Report run(QueryTransport& transport);
+  Dns0x20Report run(AsyncQueryTransport& engine);
 
   /// Randomize letter case deterministically from `rng` (exposed for tests).
   static std::string encode_0x20(const std::string& name, simnet::Rng& rng);

@@ -1,7 +1,5 @@
 #include "core/dot_probe.h"
 
-#include "core/sim_transport.h"
-
 namespace dnslocate::core {
 
 std::string_view to_string(DotFinding finding) {
@@ -91,15 +89,6 @@ DotReport DotProber::run(AsyncQueryTransport& engine, bool* drained) {
   for (auto& [kind, resolver_report] : report.per_resolver)
     resolver_report.finding = classify(resolver_report);
   return report;
-}
-
-DotReport DotProber::run(QueryTransport& transport) {
-  BlockingBatchAdapter adapter(transport);
-  return run(adapter);
-}
-
-DotReport DotProber::run(SimTransport& transport) {
-  return run(static_cast<AsyncQueryTransport&>(transport));
 }
 
 }  // namespace dnslocate::core

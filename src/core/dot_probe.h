@@ -28,8 +28,6 @@
 
 namespace dnslocate::core {
 
-class SimTransport;
-
 /// Outcome of one (resolver, channel) probe.
 struct DotChannelResult {
   LocationVerdict verdict = LocationVerdict::timed_out;
@@ -73,11 +71,6 @@ class DotProber {
   /// come back `inconsistent`. `*drained` is set when cancellation cut the
   /// batch short.
   DotReport run(AsyncQueryTransport& engine, bool* drained = nullptr);
-  /// Sequential compatibility path over a plain transport.
-  DotReport run(QueryTransport& transport);
-  /// SimTransport serves both interfaces; prefer its (byte-identical)
-  /// batched cascade.
-  DotReport run(SimTransport& transport);
 
   /// Derive the finding from three channel verdicts (exposed for tests).
   static DotFinding classify(const DotResolverReport& report);

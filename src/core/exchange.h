@@ -11,8 +11,8 @@
 //   * run_exchange() drives the full attempt loop (retry budget, backoff,
 //     fresh-ID + 0x20 re-roll, per-attempt deadline, duplicate-window
 //     continuation, cancellation) over an ExchangeChannel, the minimal
-//     medium seam (send, receive, clock, backoff wait). SimTransport,
-//     UdpTransport, and TcpTransport are thin channels behind it.
+//     medium seam (send, receive, clock, backoff wait). SimTransport and
+//     TcpTransport are thin channels behind it.
 //   * ExchangeLedger owns the acceptance/arbitration state machine for one
 //     query (malformed / wrong-source / unacceptable tallies, byte-identical
 //     dedup, 0x20 case-mismatch evidence, first-accept vs conflict). The
@@ -105,9 +105,9 @@ struct SourceKey {
 // ---------------------------------------------------------------------------
 // Per-query arbitration ledger.
 
-/// The acceptance/arbitration state machine for one query. All four
-/// transports feed it: run_exchange() drives it for the blocking channels,
-/// and the batched engine calls it directly from its demux. The ledger
+/// The acceptance/arbitration state machine for one query. Every engine
+/// feeds it: run_exchange() drives it for the one-query-at-a-time channels
+/// (simulated, TCP), and UdpEngine calls it directly from its demux. The ledger
 /// persists across retry attempts — a failed attempt contributes no accepted
 /// responses, so one continuous ledger is equivalent to per-attempt ledgers
 /// summed, and ICMP evidence keeps the last reporting attempt's router.
@@ -241,8 +241,8 @@ struct ExchangePolicy {
 /// Run one complete query exchange over `channel`: the retry/backoff loop,
 /// per-attempt deadline, acceptance, arbitration, duplicate-window
 /// continuation, and cancellation — returning the finished QueryResult with
-/// retry telemetry attached. The caller records transport telemetry (the
-/// record_telemetry seam stays with the QueryTransport adapter).
+/// retry telemetry attached. The calling engine records transport
+/// telemetry (QueryTransport::record_telemetry).
 [[nodiscard]] QueryResult run_exchange(ExchangeChannel& channel, const dnswire::Message& message,
                                        const QueryOptions& options, const ExchangePolicy& policy,
                                        simnet::Rng& rng);

@@ -1,7 +1,5 @@
 #include "core/fingerprint.h"
 
-#include "core/sim_transport.h"
-
 namespace dnslocate::core {
 namespace {
 
@@ -92,17 +90,6 @@ FingerprintReport FingerprintProber::run(AsyncQueryTransport& engine,
   report.vendor =
       fingerprint_vendor(report.case_folded, report.edns_stripped, report.tc_rewritten);
   return report;
-}
-
-FingerprintReport FingerprintProber::run(QueryTransport& transport,
-                                         resolvers::PublicResolverKind target) {
-  BlockingBatchAdapter adapter(transport);
-  return run(adapter, target);
-}
-
-FingerprintReport FingerprintProber::run(SimTransport& transport,
-                                         resolvers::PublicResolverKind target) {
-  return run(static_cast<AsyncQueryTransport&>(transport), target);
 }
 
 }  // namespace dnslocate::core

@@ -21,8 +21,6 @@
 
 namespace dnslocate::core {
 
-class SimTransport;
-
 /// What the fingerprint probes observed.
 struct FingerprintReport {
   bool tested = false;
@@ -69,10 +67,6 @@ class FingerprintProber {
   /// query, one OPT-bearing location query, as a single batch.
   FingerprintReport run(AsyncQueryTransport& engine, resolvers::PublicResolverKind target,
                         bool* drained = nullptr);
-  /// Sequential compatibility path over a plain transport.
-  FingerprintReport run(QueryTransport& transport, resolvers::PublicResolverKind target);
-  /// SimTransport serves both interfaces; prefer its batched cascade.
-  FingerprintReport run(SimTransport& transport, resolvers::PublicResolverKind target);
 
  private:
   Config config_;

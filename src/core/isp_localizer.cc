@@ -3,7 +3,6 @@
 #include "core/classify.h"
 #include "dnswire/debug_queries.h"
 #include "resolvers/special_names.h"
-#include "core/sim_transport.h"
 
 namespace dnslocate::core {
 
@@ -58,15 +57,6 @@ BogonReport IspLocalizer::run(AsyncQueryTransport& engine, bool* drained) {
     }
   }
   return report;
-}
-
-BogonReport IspLocalizer::run(QueryTransport& transport) {
-  BlockingBatchAdapter adapter(transport);
-  return run(adapter);
-}
-
-BogonReport IspLocalizer::run(SimTransport& transport) {
-  return run(static_cast<AsyncQueryTransport&>(transport));
 }
 
 }  // namespace dnslocate::core

@@ -16,8 +16,6 @@
 
 namespace dnslocate::core {
 
-class SimTransport;
-
 /// One bogon-probe observation set (per family).
 struct BogonFamilyReport {
   bool tested = false;
@@ -71,11 +69,6 @@ class IspLocalizer {
 
   /// Both bogon targets, A probe + version.bind each, as one batch.
   BogonReport run(AsyncQueryTransport& engine, bool* drained = nullptr);
-  /// Sequential compatibility path over a plain transport.
-  BogonReport run(QueryTransport& transport);
-  /// SimTransport serves both interfaces; prefer its (byte-identical)
-  /// batched cascade.
-  BogonReport run(SimTransport& transport);
 
  private:
   Config config_;

@@ -1,6 +1,5 @@
 #include "core/path_probe.h"
 
-#include "core/sim_transport.h"
 #include "dnswire/debug_queries.h"
 
 namespace dnslocate::core {
@@ -63,15 +62,6 @@ PathReport PathProber::trace(AsyncQueryTransport& engine, const netbase::Endpoin
     }
   }
   return report;
-}
-
-PathReport PathProber::trace(QueryTransport& transport, const netbase::Endpoint& target) {
-  BlockingBatchAdapter adapter(transport);
-  return trace(adapter, target);
-}
-
-PathReport PathProber::trace(SimTransport& transport, const netbase::Endpoint& target) {
-  return trace(static_cast<AsyncQueryTransport&>(transport), target);
 }
 
 }  // namespace dnslocate::core

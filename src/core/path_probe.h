@@ -15,8 +15,6 @@
 
 namespace dnslocate::core {
 
-class SimTransport;
-
 /// One TTL step of a path probe.
 struct PathHop {
   std::uint8_t ttl = 0;
@@ -61,11 +59,6 @@ class PathProber {
   /// cut the batch short.
   PathReport trace(AsyncQueryTransport& engine, const netbase::Endpoint& target,
                    bool* drained = nullptr);
-  /// Sequential compatibility path over a plain transport.
-  PathReport trace(QueryTransport& transport, const netbase::Endpoint& target);
-  /// SimTransport serves both interfaces; prefer its (byte-identical)
-  /// batched cascade.
-  PathReport trace(SimTransport& transport, const netbase::Endpoint& target);
 
  private:
   Config config_;

@@ -1,6 +1,5 @@
 #include "core/pipeline.h"
 
-#include "core/sim_transport.h"
 #include "obs/span.h"
 
 namespace dnslocate::core {
@@ -232,15 +231,6 @@ ProbeVerdict LocalizationPipeline::run(AsyncQueryTransport& engine, const Cancel
 
   fingerprint_stage(suspects);
   return finish();
-}
-
-ProbeVerdict LocalizationPipeline::run(QueryTransport& transport, const CancelToken& cancel) {
-  BlockingBatchAdapter adapter(transport);
-  return run(adapter, cancel);
-}
-
-ProbeVerdict LocalizationPipeline::run(SimTransport& transport, const CancelToken& cancel) {
-  return run(static_cast<AsyncQueryTransport&>(transport), cancel);
 }
 
 }  // namespace dnslocate::core

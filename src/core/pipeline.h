@@ -14,8 +14,6 @@
 
 namespace dnslocate::core {
 
-class SimTransport;
-
 /// Pipeline configuration.
 struct PipelineConfig {
   /// Public (WAN) address of the client's CPE. Without it step 2 cannot run
@@ -42,7 +40,8 @@ struct PipelineConfig {
   /// independent per-stage stream from this (overriding the stage configs'
   /// own id_seed defaults), so IDs are unpredictable to an off-path spoofer
   /// yet replay bit-identically per seed — and are fixed at batch-build
-  /// time, identical under the blocking and async engines.
+  /// time, so every engine puts the same IDs on the wire whatever its
+  /// admission cap.
   std::uint64_t query_id_seed = 0x1d5eed;
 
   /// Stamp one retry policy onto every step's QueryOptions. Safe by
@@ -128,14 +127,6 @@ class LocalizationPipeline {
   /// (async cancellation) gets that stage marked skipped too — its partial
   /// report is never upgraded into a localization claim.
   ProbeVerdict run(AsyncQueryTransport& engine, const CancelToken& cancel = {});
-  /// Sequential compatibility path: wraps `transport` in a
-  /// BlockingBatchAdapter, which reproduces the historical per-query loop
-  /// byte for byte.
-  ProbeVerdict run(QueryTransport& transport, const CancelToken& cancel = {});
-  /// SimTransport implements both interfaces; this exact-match overload
-  /// resolves the ambiguity in favour of the batched engine, whose simulated
-  /// cascade is byte-identical to the sequential loop (see sim_transport.h).
-  ProbeVerdict run(SimTransport& transport, const CancelToken& cancel = {});
 
   [[nodiscard]] const PipelineConfig& config() const { return config_; }
 

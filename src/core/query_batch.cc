@@ -5,11 +5,19 @@
 
 namespace dnslocate::core {
 
-void BlockingBatchAdapter::run(QueryBatch& batch) {
-  obs::Span span("batch/blocking_run");
+QueryResult query_one(AsyncQueryTransport& engine, const netbase::Endpoint& server,
+                      const dnswire::Message& message, const QueryOptions& options) {
+  QueryBatch batch;
+  batch.add(server, message, options);
+  engine.run(batch);
+  return std::move(batch.result(0));
+}
+
+void SequentialTransport::run(QueryBatch& batch) {
+  obs::Span span("batch/sequential_run");
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const QuerySpec& spec = batch.spec(i);
-    batch.result(i) = inner_.query(spec.server, spec.message, spec.options);
+    batch.result(i) = query(spec.server, spec.message, spec.options);
   }
   note_batch_metrics(batch.size(), 0, batch.empty() ? 0 : 1, batch.drained());
 }

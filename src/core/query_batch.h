@@ -5,12 +5,12 @@
 // engine executes the whole set, collecting results as they complete. The
 // stage then interprets results by index, never by arrival order, so the
 // same declarative plan produces the same report whether the engine ran the
-// queries one at a time (BlockingBatchAdapter over any QueryTransport) or
-// kept them all in flight at once (sockets::UdpEngine over a shared socket
-// pair). That separation is what turns a probe's wall clock from the *sum*
-// of its query timeouts into the *max* on real networks, while the simulated
-// path stays byte-identical to the historical sequential loops (see
-// docs/ARCHITECTURE.md, "Query engine").
+// queries one at a time (a SequentialTransport, or sockets::UdpEngine with
+// max_inflight = 1) or kept them all in flight at once (sockets::UdpEngine
+// over a shared socket pair). That separation is what turns a probe's wall
+// clock from the *sum* of its query timeouts into the *max* on real
+// networks, while the simulated path stays byte-identical to the historical
+// sequential loops (see docs/ARCHITECTURE.md, "Query engine").
 #pragma once
 
 #include <cstdint>
@@ -74,9 +74,10 @@ class QueryBatch {
   bool drained_ = false;
 };
 
-/// An engine that can execute a whole QueryBatch. Implementations are free
-/// to overlap queries arbitrarily; they must fill every result slot before
-/// returning and record per-query telemetry on their underlying transport.
+/// An engine that can execute a whole QueryBatch: the one query-execution
+/// interface every measurement stage and the pipeline take. Implementations
+/// are free to overlap queries arbitrarily; they must fill every result slot
+/// before returning and record per-query telemetry on their transport().
 class AsyncQueryTransport {
  public:
   virtual ~AsyncQueryTransport() = default;
@@ -84,28 +85,29 @@ class AsyncQueryTransport {
   /// Execute every query in `batch`, filling `batch.result(i)` for all i.
   virtual void run(QueryBatch& batch) = 0;
 
-  /// The synchronous transport behind this engine — the seam for capability
-  /// checks (supports_family, supports_channel) and cumulative telemetry.
+  /// The seam for capability checks (supports_family, supports_channel) and
+  /// cumulative telemetry.
   [[nodiscard]] virtual QueryTransport& transport() = 0;
 };
 
-/// Compatibility adapter: runs a batch one query at a time, in submission
-/// order, over any QueryTransport. This is *exactly* the historical
-/// sequential loop — same queries, same order, same transport calls — so
-/// wrapped transports (MappedTransport, test doubles, SimTransport) behave
-/// byte-identically to the pre-batch pipeline. It never marks the batch
-/// drained: per-query cancellation semantics are the inner transport's, as
-/// they always were.
-class BlockingBatchAdapter final : public AsyncQueryTransport {
- public:
-  explicit BlockingBatchAdapter(QueryTransport& inner) : inner_(inner) {}
+/// Send one query through `engine`: a batch of one.
+QueryResult query_one(AsyncQueryTransport& engine, const netbase::Endpoint& server,
+                      const dnswire::Message& message, const QueryOptions& options = {});
 
+/// Base for engines that execute one query at a time (TCP, the UDP-then-TCP
+/// fallback, test doubles): run() calls query() for each spec in submission
+/// order. It never marks the batch drained — per-query cancellation
+/// semantics are the subclass's.
+class SequentialTransport : public QueryTransport, public AsyncQueryTransport {
+ public:
   void run(QueryBatch& batch) override;
 
-  [[nodiscard]] QueryTransport& transport() override { return inner_; }
+  [[nodiscard]] QueryTransport& transport() override { return *this; }
 
- private:
-  QueryTransport& inner_;
+ protected:
+  /// Execute one query and record its telemetry.
+  virtual QueryResult query(const netbase::Endpoint& server, const dnswire::Message& message,
+                            const QueryOptions& options) = 0;
 };
 
 /// Mirror one executed batch onto the metrics registry: run count, size and

@@ -1,5 +1,4 @@
 #include "core/replication.h"
-#include "core/sim_transport.h"
 
 namespace dnslocate::core {
 
@@ -35,15 +34,6 @@ ReplicationReport ReplicationProber::run(AsyncQueryTransport& engine, bool* drai
     report.per_resolver.emplace(kinds[i], std::move(obs));
   }
   return report;
-}
-
-ReplicationReport ReplicationProber::run(QueryTransport& transport) {
-  BlockingBatchAdapter adapter(transport);
-  return run(adapter);
-}
-
-ReplicationReport ReplicationProber::run(SimTransport& transport) {
-  return run(static_cast<AsyncQueryTransport&>(transport));
 }
 
 }  // namespace dnslocate::core

@@ -16,8 +16,6 @@
 
 namespace dnslocate::core {
 
-class SimTransport;
-
 /// Replication evidence for one resolver.
 struct ReplicationObservation {
   std::size_t responses = 0;       // distinct datagrams received
@@ -53,11 +51,6 @@ class ReplicationProber {
   /// Send each resolver's location query (one batch, all four resolvers)
   /// and count the responses that race back before the timeout.
   ReplicationReport run(AsyncQueryTransport& engine, bool* drained = nullptr);
-  /// Sequential compatibility path over a plain transport.
-  ReplicationReport run(QueryTransport& transport);
-  /// SimTransport serves both interfaces; prefer its (byte-identical)
-  /// batched cascade.
-  ReplicationReport run(SimTransport& transport);
 
  private:
   Config config_;

@@ -12,7 +12,7 @@
 
 namespace dnslocate::core {
 
-/// A QueryTransport backed by a simnet host device. Each query runs through
+/// A query engine backed by a simnet host device. Each query runs through
 /// the shared exchange kernel (core/exchange.h) over a simulated channel
 /// that binds a fresh ephemeral port per attempt, injects the datagram, and
 /// drives the simulator until the timeout horizon passes (so replicated
@@ -23,15 +23,13 @@ class SimTransport : public QueryTransport, public AsyncQueryTransport {
   /// It must already be wired into a topology with a default route.
   SimTransport(simnet::Simulator& sim, simnet::Device& host);
 
-  QueryResult query(const netbase::Endpoint& server, const dnswire::Message& message,
-                    const QueryOptions& options = {}) override;
-
   /// Deterministic batch path: one simulator cascade per query, in strict
   /// submission order within a single run() call. Overlapping queries in
   /// simulated time would interleave draws on the simulator's shared RNG
   /// stream and permute traces; running them back-to-back keeps verdicts
-  /// and traces byte-identical to the sequential engine, and simulated
-  /// waits cost no wall-clock, so nothing is lost by not overlapping.
+  /// and traces byte-identical to the historical one-query-at-a-time loop
+  /// (pinned by tests/golden/scenario_signatures.txt), and simulated waits
+  /// cost no wall-clock, so nothing is lost by not overlapping.
   void run(QueryBatch& batch) override;
 
   [[nodiscard]] QueryTransport& transport() override { return *this; }
@@ -44,6 +42,9 @@ class SimTransport : public QueryTransport, public AsyncQueryTransport {
   [[nodiscard]] std::uint64_t queries_sent() const { return queries_sent_; }
 
  private:
+  QueryResult query(const netbase::Endpoint& server, const dnswire::Message& message,
+                    const QueryOptions& options);
+
   simnet::Simulator& sim_;
   simnet::Device& host_;
   std::uint16_t next_port_ = 40000;

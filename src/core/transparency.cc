@@ -1,7 +1,6 @@
 #include "core/transparency.h"
 
 #include "resolvers/special_names.h"
-#include "core/sim_transport.h"
 
 namespace dnslocate::core {
 
@@ -78,17 +77,6 @@ TransparencyReport TransparencyTester::run(
   else
     report.overall = TransparencyClass::indeterminate;
   return report;
-}
-
-TransparencyReport TransparencyTester::run(
-    QueryTransport& transport, const std::vector<resolvers::PublicResolverKind>& intercepted) {
-  BlockingBatchAdapter adapter(transport);
-  return run(adapter, intercepted);
-}
-
-TransparencyReport TransparencyTester::run(
-    SimTransport& transport, const std::vector<resolvers::PublicResolverKind>& intercepted) {
-  return run(static_cast<AsyncQueryTransport&>(transport), intercepted);
 }
 
 }  // namespace dnslocate::core

@@ -16,8 +16,6 @@
 
 namespace dnslocate::core {
 
-class SimTransport;
-
 /// Per-resolver transparency observation.
 enum class ResolverTransparency {
   transparent,      // valid answer, resolved correctly (by someone else)
@@ -56,13 +54,6 @@ class TransparencyTester {
   TransparencyReport run(AsyncQueryTransport& engine,
                          const std::vector<resolvers::PublicResolverKind>& intercepted,
                          bool* drained = nullptr);
-  /// Sequential compatibility path over a plain transport.
-  TransparencyReport run(QueryTransport& transport,
-                         const std::vector<resolvers::PublicResolverKind>& intercepted);
-  /// SimTransport serves both interfaces; prefer its (byte-identical)
-  /// batched cascade.
-  TransparencyReport run(SimTransport& transport,
-                         const std::vector<resolvers::PublicResolverKind>& intercepted);
 
  private:
   Config config_;

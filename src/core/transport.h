@@ -1,8 +1,9 @@
-// QueryTransport: the single seam between the localization technique and
-// the network it measures. The same pipeline runs over the simulator
-// (core/sim_transport.h) and over real POSIX sockets (sockets/udp_transport.h)
-// — matching the paper's claim that the technique "can be implemented on any
-// device that can make DNS queries".
+// QueryTransport: the capability and telemetry face of a query engine.
+// Queries themselves go out through core::AsyncQueryTransport::run
+// (core/query_batch.h), the single execution seam shared by the simulator
+// (core/sim_transport.h) and real sockets (sockets/udp_engine.h) — matching
+// the paper's claim that the technique "can be implemented on any device
+// that can make DNS queries".
 #pragma once
 
 #include <chrono>
@@ -102,7 +103,7 @@ struct QueryResult {
 /// pipeline snapshots it around a run to surface retry/timeout counts in
 /// the probe verdict; the report layer aggregates them fleet-wide.
 struct TransportTelemetry {
-  std::uint64_t queries = 0;    // query() calls
+  std::uint64_t queries = 0;    // queries executed
   std::uint64_t attempts = 0;   // datagrams sent (>= queries with retries)
   std::uint64_t retries = 0;    // attempts beyond each query's first
   std::uint64_t timeouts = 0;   // attempts that ended in silence
@@ -198,14 +199,13 @@ inline void note_late_duplicate_metric() {
   late.add_always(1);
 }
 
-/// Synchronous DNS query interface.
+/// What an engine can reach, and what it has done so far. Every engine
+/// exposes one through AsyncQueryTransport::transport(); stages consult the
+/// capability checks while building a batch, and the pipeline snapshots the
+/// telemetry around a run.
 class QueryTransport {
  public:
   virtual ~QueryTransport() = default;
-
-  /// Send `query` to `server` and wait for a response or timeout.
-  virtual QueryResult query(const netbase::Endpoint& server, const dnswire::Message& message,
-                            const QueryOptions& options = {}) = 0;
 
   /// Cumulative telemetry since construction (or reset_telemetry()).
   /// Implementations record each completed query via record_telemetry().
@@ -225,10 +225,17 @@ class QueryTransport {
   }
 
  protected:
+  /// Tally a query this transport executed itself, and mirror it onto the
+  /// metrics registry.
   void record_telemetry(const QueryResult& result) {
     telemetry_.note(result);
     note_transport_metrics(result);
   }
+
+  /// Fold in the telemetry an inner engine accrued on this decorator's
+  /// behalf. The inner engine already mirrored it onto the registry, so a
+  /// decorator keeps its own per-instance view without counting twice.
+  void tally_delegated(const TransportTelemetry& delta) { telemetry_ += delta; }
 
   /// Count a response that arrived for an already-finished transaction.
   /// Not tied to a QueryResult: the result was recorded when the

@@ -1,6 +1,5 @@
 #include "core/ttl_probe.h"
 
-#include "core/sim_transport.h"
 #include "dnswire/debug_queries.h"
 
 namespace dnslocate::core {
@@ -33,24 +32,9 @@ TtlSweepReport TtlLocalizer::sweep(AsyncQueryTransport& engine,
   return report;
 }
 
-TtlSweepReport TtlLocalizer::sweep(QueryTransport& transport,
-                                   const netbase::Endpoint& target) {
-  BlockingBatchAdapter adapter(transport);
-  return sweep(adapter, target);
-}
-
-TtlSweepReport TtlLocalizer::sweep(SimTransport& transport, const netbase::Endpoint& target) {
-  return sweep(static_cast<AsyncQueryTransport&>(transport), target);
-}
-
-std::optional<std::uint8_t> TtlLocalizer::responder_hop(QueryTransport& transport,
+std::optional<std::uint8_t> TtlLocalizer::responder_hop(AsyncQueryTransport& engine,
                                                         const netbase::Endpoint& target) {
-  return sweep(transport, target).responder_hop;
-}
-
-std::optional<std::uint8_t> TtlLocalizer::responder_hop(SimTransport& transport,
-                                                        const netbase::Endpoint& target) {
-  return sweep(transport, target).responder_hop;
+  return sweep(engine, target).responder_hop;
 }
 
 }  // namespace dnslocate::core

@@ -17,8 +17,6 @@
 
 namespace dnslocate::core {
 
-class SimTransport;
-
 /// Result of a TTL sweep towards one server.
 struct TtlSweepReport {
   netbase::Endpoint target;
@@ -46,17 +44,10 @@ class TtlLocalizer {
   /// completed queries actually showed.
   TtlSweepReport sweep(AsyncQueryTransport& engine, const netbase::Endpoint& target,
                        bool* drained = nullptr);
-  /// Sequential compatibility path over a plain transport.
-  TtlSweepReport sweep(QueryTransport& transport, const netbase::Endpoint& target);
-  /// SimTransport serves both interfaces; prefer its (byte-identical)
-  /// batched cascade.
-  TtlSweepReport sweep(SimTransport& transport, const netbase::Endpoint& target);
 
   /// Convenience: hop distance of the responder (see TtlSweepReport), or
   /// nullopt if nothing answered (or TTL is unsupported).
-  std::optional<std::uint8_t> responder_hop(QueryTransport& transport,
-                                            const netbase::Endpoint& target);
-  std::optional<std::uint8_t> responder_hop(SimTransport& transport,
+  std::optional<std::uint8_t> responder_hop(AsyncQueryTransport& engine,
                                             const netbase::Endpoint& target);
 
  private:

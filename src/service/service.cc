@@ -423,8 +423,7 @@ void MeasurementService::execute(const std::shared_ptr<Run>& run) {
           std::this_thread::sleep_for(slice);
           waited += slice;
         }
-        return atlas::run_probe(spec, token, /*strip_raw_responses=*/true,
-                                atlas::QueryEngine::async);
+        return atlas::run_probe(spec, token, /*strip_raw_responses=*/true);
       };
     }
 

@@ -204,7 +204,13 @@ core::QueryResult TcpTransport::query(const netbase::Endpoint& server,
 core::QueryResult FallbackTransport::query(const netbase::Endpoint& server,
                                            const dnswire::Message& message,
                                            const core::QueryOptions& options) {
-  core::QueryResult result = udp_.query(server, message, options);
+  auto leg = [&](core::AsyncQueryTransport& engine) {
+    const core::TransportTelemetry before = engine.transport().telemetry();
+    core::QueryResult result = core::query_one(engine, server, message, options);
+    tally_delegated(engine.transport().telemetry() - before);
+    return result;
+  };
+  core::QueryResult result = leg(udp_);
   if (result.answered() && result.response->flags.tc) {
     ++tcp_retries_;
     if (obs::metrics_enabled()) {
@@ -212,7 +218,7 @@ core::QueryResult FallbackTransport::query(const netbase::Endpoint& server,
           obs::registry().counter("transport_tcp_fallbacks_total");
       fallbacks.add_always(1);
     }
-    core::QueryResult tcp_result = tcp_.query(server, message, options);
+    core::QueryResult tcp_result = leg(tcp_);
     if (tcp_result.answered()) return tcp_result;
     // TCP failed: the truncated UDP answer is still the best we have.
   }

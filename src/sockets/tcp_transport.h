@@ -5,7 +5,7 @@
 
 #include <chrono>
 
-#include "core/transport.h"
+#include "core/query_batch.h"
 
 namespace dnslocate::sockets {
 
@@ -15,7 +15,7 @@ namespace dnslocate::sockets {
 /// evidence (spoofed IDs, conflicting follow-up frames, 0x20 rewrites) as
 /// every other channel — a stream is harder to inject into than a datagram
 /// flow, but an in-path middlebox terminates it just as easily.
-class TcpTransport : public core::QueryTransport {
+class TcpTransport : public core::SequentialTransport {
  public:
   struct Config {
     /// Keep reading follow-up frames (a pipelining server or an in-path
@@ -34,10 +34,11 @@ class TcpTransport : public core::QueryTransport {
   TcpTransport() = default;
   explicit TcpTransport(Config config) : config_(config) {}
 
-  core::QueryResult query(const netbase::Endpoint& server, const dnswire::Message& message,
-                          const core::QueryOptions& options = {}) override;
-
   [[nodiscard]] bool supports_family(netbase::IpFamily family) const override;
+
+ protected:
+  core::QueryResult query(const netbase::Endpoint& server, const dnswire::Message& message,
+                          const core::QueryOptions& options) override;
 
  private:
   Config config_;
@@ -46,25 +47,28 @@ class TcpTransport : public core::QueryTransport {
 /// UDP-first transport with automatic TCP retry when the UDP answer is
 /// truncated — what a stub resolver actually does. The localization
 /// pipeline itself never needs this (its answers are small), but tools
-/// built on the library do.
-class FallbackTransport : public core::QueryTransport {
+/// built on the library do. Its telemetry counts every leg it ran (the UDP
+/// query, plus the TCP retry when there was one); the legs' engines mirror
+/// them onto the metrics registry.
+class FallbackTransport : public core::SequentialTransport {
  public:
-  FallbackTransport(core::QueryTransport& udp, core::QueryTransport& tcp)
+  FallbackTransport(core::AsyncQueryTransport& udp, core::AsyncQueryTransport& tcp)
       : udp_(udp), tcp_(tcp) {}
 
-  core::QueryResult query(const netbase::Endpoint& server, const dnswire::Message& message,
-                          const core::QueryOptions& options = {}) override;
-
   [[nodiscard]] bool supports_family(netbase::IpFamily family) const override {
-    return udp_.supports_family(family);
+    return udp_.transport().supports_family(family);
   }
-  [[nodiscard]] bool supports_ttl() const override { return udp_.supports_ttl(); }
+  [[nodiscard]] bool supports_ttl() const override { return udp_.transport().supports_ttl(); }
 
   [[nodiscard]] std::uint64_t tcp_retries() const { return tcp_retries_; }
 
+ protected:
+  core::QueryResult query(const netbase::Endpoint& server, const dnswire::Message& message,
+                          const core::QueryOptions& options) override;
+
  private:
-  core::QueryTransport& udp_;
-  core::QueryTransport& tcp_;
+  core::AsyncQueryTransport& udp_;
+  core::AsyncQueryTransport& tcp_;
   std::uint64_t tcp_retries_ = 0;
 };
 

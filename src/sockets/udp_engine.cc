@@ -80,14 +80,15 @@ std::optional<netbase::Endpoint> from_sockaddr(const sockaddr_storage& storage) 
 }
 
 /// Granularity at which the event loop re-checks manually-cancellable
-/// tokens (same slice the blocking transport uses).
+/// tokens.
 constexpr std::chrono::milliseconds kCancelPollSlice{50};
 
-/// Per-query execution state: the same timeline UdpTransport walks with
-/// blocking waits, expressed as an explicit machine the event loop advances.
+/// Per-query execution state: one query's timeline (attempt, answer,
+/// duplicate window, backoff), expressed as an explicit machine the event
+/// loop advances.
 struct QueryState {
   enum class Phase {
-    queued,       // admitted but no datagram sent yet (over max_inflight)
+    queued,       // submitted but not admitted yet (over max_inflight)
     waiting,      // attempt on the wire, no answer yet
     collecting,   // answered; gathering replication duplicates
     backing_off,  // between attempts
@@ -110,6 +111,10 @@ struct QueryState {
   /// the engine's demux routes datagrams, the ledger judges them.
   core::ExchangeLedger ledger;
   core::RetryTelemetry telemetry;
+
+  /// Admitted and not yet complete: the query occupies one of the
+  /// max_inflight slots through every attempt and backoff.
+  bool holds_slot = false;
 
   [[nodiscard]] bool in_flight() const {
     return phase == Phase::waiting || phase == Phase::collecting;
@@ -160,9 +165,9 @@ void UdpEngine::run(core::QueryBatch& batch) {
     q.policy = q.spec->options.retry.enabled() ? q.spec->options.retry : config_.retry;
     q.budget = std::max(1u, q.policy.max_attempts);
     q.attempt_message = q.spec->message;
-    // Same re-randomization stream UdpTransport derives, keyed by the
-    // original transaction ID, so a retried attempt's fresh ID and 0x20
-    // pattern are identical under either engine.
+    // Re-randomization stream keyed by the original transaction ID (the
+    // scheme TcpTransport shares), so a retried attempt's fresh ID and 0x20
+    // pattern do not depend on admission order or the in-flight cap.
     q.rng = simnet::Rng(config_.retry_seed ^
                         (static_cast<std::uint64_t>(q.spec->message.id) << 32));
     if (q.spec->options.cancel.active()) any_cancelable = true;
@@ -190,9 +195,10 @@ void UdpEngine::run(core::QueryBatch& batch) {
 
   auto complete = [&](std::size_t i) {
     QueryState& q = states[i];
-    if (q.in_flight()) {
+    if (q.in_flight()) unmap_id(i);
+    if (q.holds_slot) {
+      q.holds_slot = false;
       --inflight;
-      unmap_id(i);
     }
     wheel.cancel(i);
     q.phase = QueryState::Phase::done;
@@ -228,7 +234,7 @@ void UdpEngine::run(core::QueryBatch& batch) {
     q.sent_at = Clock::now();
     if (!sent) {
       // Unsendable attempt (no socket / network down): burns the attempt
-      // immediately, like UdpTransport's attempt() returning straight away.
+      // immediately.
       ++q.telemetry.timeouts;
       if (q.attempt < q.budget) {
         auto backoff = q.policy.backoff_before(q.attempt + 1);
@@ -263,11 +269,9 @@ void UdpEngine::run(core::QueryBatch& batch) {
         continue;
       }
       ++inflight;
+      q.holds_slot = true;
       peak_inflight = std::max(peak_inflight, inflight);
       send_attempt(i);
-      if (states[i].phase == QueryState::Phase::done ||
-          states[i].phase == QueryState::Phase::backing_off)
-        --inflight;  // send failed; slot freed (complete() handled done case)
     }
   };
 
@@ -279,33 +283,22 @@ void UdpEngine::run(core::QueryBatch& batch) {
         break;
       case QueryState::Phase::waiting: {
         // Attempt timed out.
-        unmap_id(i);
-        --inflight;
         ++q.telemetry.timeouts;
         if (q.attempt < q.budget && !q.spec->options.cancel.cancelled()) {
+          unmap_id(i);
           auto backoff = q.policy.backoff_before(q.attempt + 1);
           q.telemetry.backoff_waited += backoff;
           q.phase = QueryState::Phase::backing_off;
           q.attempt_deadline = Clock::now() + backoff;
           wheel.schedule(i, q.attempt_deadline);
         } else {
-          q.phase = QueryState::Phase::done;  // complete() below re-checks flight state
-          wheel.cancel(i);
-          q.ledger.result().retry = q.telemetry;
-          batch.result(i) = q.ledger.result();
-          record_telemetry(batch.result(i));
-          ++completed;
+          complete(i);
         }
         break;
       }
       case QueryState::Phase::backing_off:
-        // Backoff over: the slot was freed at timeout, so re-admit through
-        // the in-flight cap.
-        ++inflight;
-        peak_inflight = std::max(peak_inflight, inflight);
+        // Backoff over; the query kept its slot, so the retry goes out now.
         send_attempt(i);
-        if (q.phase == QueryState::Phase::done || q.phase == QueryState::Phase::backing_off)
-          --inflight;
         break;
       case QueryState::Phase::queued:
       case QueryState::Phase::done:
@@ -474,15 +467,6 @@ void UdpEngine::run(core::QueryBatch& batch) {
 
   if (drained) batch.mark_drained();
   core::note_batch_metrics(batch.size(), obs::now_ns() - started_ns, peak_inflight, drained);
-}
-
-core::QueryResult UdpEngine::query(const netbase::Endpoint& server,
-                                   const dnswire::Message& message,
-                                   const core::QueryOptions& options) {
-  core::QueryBatch batch;
-  batch.add(server, message, options);
-  run(batch);
-  return batch.result(0);
 }
 
 }  // namespace dnslocate::sockets

@@ -1,20 +1,21 @@
-// Event-driven batched query engine over real POSIX UDP sockets.
+// Event-driven batched query engine over real POSIX UDP sockets: the
+// library's one real-network UDP path.
 //
-// Where UdpTransport opens one socket per attempt and sleeps through each
-// query's timeout and backoff in turn, UdpEngine multiplexes every in-flight
-// query of a batch over ONE shared non-blocking socket per address family.
-// Responses are demultiplexed by (server endpoint, transaction ID,
-// 0x20-encoded question name) — the same acceptance predicate RFC 5452
-// prescribes and dnswire::is_acceptable_response implements — and every
-// per-query deadline (attempt timeout, retry backoff, duplicate-collection
-// window) lives on a timer wheel driven from a single poll() loop. A probe's
-// wall clock becomes the max of its query timelines instead of their sum.
+// UdpEngine multiplexes every in-flight query of a batch over ONE shared
+// non-blocking socket per address family. Responses are demultiplexed by
+// (server endpoint, transaction ID, 0x20-encoded question name) — the same
+// acceptance predicate RFC 5452 prescribes and dnswire::is_acceptable_response
+// implements — and every per-query deadline (attempt timeout, retry backoff,
+// duplicate-collection window) lives on a timer wheel driven from a single
+// poll() loop. A probe's wall clock becomes the max of its query timelines
+// instead of their sum.
 //
-// Per-query semantics are deliberately identical to UdpTransport: same retry
-// policy evaluation, same per-query re-randomization stream (seeded
-// retry_seed ^ (original ID << 32)), same duplicate-collection window after
-// the first answer, same cancellation outcome (abandoned queries report
-// timeouts, answers are never fabricated). Only the scheduling differs.
+// "Blocking" execution is this engine with Config::max_inflight = 1: one
+// query at a time, each running through its attempts, backoffs and
+// duplicate window before the next is sent. Only the scheduling differs; retry policy, the per-query re-randomization
+// stream (seeded retry_seed ^ (original ID << 32)), the duplicate window and
+// the cancellation outcome (abandoned queries report timeouts, answers are
+// never fabricated) are the same at every admission cap.
 #pragma once
 
 #include <chrono>
@@ -33,10 +34,13 @@ class UdpEngine : public core::QueryTransport, public core::AsyncQueryTransport 
     /// Default retry policy for queries whose QueryOptions carry none.
     core::RetryPolicy retry;
     /// Seed for the per-attempt re-randomization streams (same scheme as
-    /// UdpTransport, so retried attempts carry identical contents).
+    /// TcpTransport, so retried attempts carry identical contents).
     std::uint64_t retry_seed = 0x5eed5eed;
     /// Admission cap: queries beyond this many stay queued until a slot
-    /// frees. Bounds socket buffer pressure and burst size on the wire.
+    /// frees. A query holds its slot from its first send until it
+    /// completes, retries and backoffs included, so 1 runs the batch
+    /// strictly one query at a time. Bounds socket buffer pressure and
+    /// burst size on the wire.
     std::size_t max_inflight = 64;
   };
 
@@ -48,10 +52,6 @@ class UdpEngine : public core::QueryTransport, public core::AsyncQueryTransport 
   void run(core::QueryBatch& batch) override;
 
   [[nodiscard]] core::QueryTransport& transport() override { return *this; }
-
-  /// Single query — a batch of one through the same event loop.
-  core::QueryResult query(const netbase::Endpoint& server, const dnswire::Message& message,
-                          const core::QueryOptions& options = {}) override;
 
   [[nodiscard]] bool supports_family(netbase::IpFamily family) const override;
   [[nodiscard]] bool supports_ttl() const override { return true; }

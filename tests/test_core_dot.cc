@@ -18,7 +18,7 @@ QueryResult dot_query(atlas::Scenario& scenario, Channel channel,
   options.channel = channel;
   std::uint16_t port = channel == Channel::udp ? netbase::kDnsPort : netbase::kDotPort;
   auto query = dnswire::make_chaos_query(0x77, dnswire::version_bind());
-  return scenario.transport().query({server, port}, query, options);
+  return core::query_one(scenario.transport(), {server, port}, query, options);
 }
 
 netbase::IpAddress quad9() { return *netbase::IpAddress::parse("9.9.9.9"); }

@@ -18,7 +18,7 @@ namespace {
 using resolvers::PublicResolverKind;
 
 /// Transport whose behaviour is a plain function of (server, question).
-class ScriptedTransport : public QueryTransport {
+class ScriptedTransport : public SequentialTransport {
  public:
   using Script = std::function<std::optional<dnswire::Message>(const netbase::Endpoint&,
                                                                const dnswire::Message&)>;

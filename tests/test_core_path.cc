@@ -20,7 +20,7 @@ TEST(Icmp, TtlExpiryReportsTheRouter) {
   QueryOptions options;
   options.ttl = 2;  // dies at the access router (hop 2 after the CPE)
   auto query = dnswire::make_chaos_query(1, dnswire::version_bind());
-  auto result = scenario.transport().query(google53(), query, options);
+  auto result = core::query_one(scenario.transport(), google53(), query, options);
   EXPECT_FALSE(result.answered());
   ASSERT_TRUE(result.icmp_from.has_value());
   // The access router's interface address is x.y.0.1 of the customer prefix.
@@ -37,7 +37,7 @@ TEST(Icmp, RelatedErrorsTraverseTheNat) {
   QueryOptions options;
   options.ttl = 3;  // border router
   auto query = dnswire::make_chaos_query(2, dnswire::version_bind());
-  auto result = scenario.transport().query(google53(), query, options);
+  auto result = core::query_one(scenario.transport(), google53(), query, options);
   EXPECT_FALSE(result.answered());
   EXPECT_TRUE(result.icmp_from.has_value());
 }
@@ -46,7 +46,7 @@ TEST(Icmp, NoErrorWhenPacketIsDelivered) {
   atlas::ScenarioConfig config;
   atlas::Scenario scenario(config);
   auto query = dnswire::make_chaos_query(3, dnswire::version_bind());
-  auto result = scenario.transport().query(google53(), query);
+  auto result = core::query_one(scenario.transport(), google53(), query);
   EXPECT_TRUE(result.answered());
   EXPECT_FALSE(result.icmp_from.has_value());
 }
@@ -107,7 +107,7 @@ TEST(PathProber, InterceptorHopPrecedesTheCleanResponderHop) {
 }
 
 TEST(PathProber, UnsupportedTransportYieldsEmptyReport) {
-  struct NoTtl : QueryTransport {
+  struct NoTtl : SequentialTransport {
     QueryResult query(const netbase::Endpoint&, const dnswire::Message&,
                       const QueryOptions&) override {
       return {};

@@ -1,10 +1,10 @@
 // Golden pin for the 13-scenario equivalence corpus: the rendered evidence
 // signatures are checked into tests/golden/scenario_signatures.txt and every
-// run diffs the live signatures (blocking AND async engines) against that
-// file. test_engine_equivalence proves the two engines agree with each other;
-// this suite proves they both still agree with the *recorded* pre-refactor
-// bytes, so a refactor that drifts the evidence trail fails loudly instead of
-// silently re-pinning equivalence at the new behaviour.
+// run diffs the live signatures against that file. The file predates the
+// batched engine, so this suite proves SimTransport's batch path still
+// reproduces the *recorded* sequential-loop bytes: a refactor that drifts
+// the evidence trail fails loudly instead of silently re-pinning at the new
+// behaviour.
 //
 // Regeneration (deliberate behaviour changes only):
 //   DNSLOCATE_UPDATE_GOLDEN=1 ./build/tests/test_corpus_golden
@@ -29,21 +29,19 @@ using testing_corpus::Case;
 using testing_corpus::corpus;
 using testing_corpus::signature;
 
-core::ProbeVerdict run_with(const ScenarioConfig& config, bool async) {
+core::ProbeVerdict run_scenario(const ScenarioConfig& config) {
   Scenario scenario(config);
   LocalizationPipeline pipeline(scenario.pipeline_config());
-  return async
-             ? pipeline.run(static_cast<core::AsyncQueryTransport&>(scenario.transport()))
-             : pipeline.run(static_cast<core::QueryTransport&>(scenario.transport()));
+  return pipeline.run(scenario.transport());
 }
 
 /// Render the whole corpus as one diffable document. One block per case,
 /// delimited so a textual diff names the scenario that drifted.
-std::string render_corpus(bool async) {
+std::string render_corpus() {
   std::ostringstream out;
   for (const Case& c : corpus()) {
     out << "=== " << c.name << " ===\n";
-    out << signature(run_with(c.config, async)) << "\n";
+    out << signature(run_scenario(c.config)) << "\n";
   }
   return out.str();
 }
@@ -55,8 +53,8 @@ std::string read_golden() {
   return buffer.str();
 }
 
-TEST(CorpusGolden, BlockingEngineMatchesRecordedSignatures) {
-  std::string live = render_corpus(/*async=*/false);
+TEST(CorpusGolden, MatchesRecordedSignatures) {
+  std::string live = render_corpus();
   if (std::getenv("DNSLOCATE_UPDATE_GOLDEN") != nullptr) {
     std::ofstream file(DNSLOCATE_GOLDEN_SIGNATURES);
     ASSERT_TRUE(file.good()) << "cannot write " << DNSLOCATE_GOLDEN_SIGNATURES;
@@ -70,17 +68,6 @@ TEST(CorpusGolden, BlockingEngineMatchesRecordedSignatures) {
   EXPECT_EQ(live, golden)
       << "evidence signatures drifted from the recorded corpus; if the change "
          "is deliberate, regenerate with DNSLOCATE_UPDATE_GOLDEN=1";
-}
-
-TEST(CorpusGolden, AsyncEngineMatchesRecordedSignatures) {
-  if (std::getenv("DNSLOCATE_UPDATE_GOLDEN") != nullptr)
-    GTEST_SKIP() << "golden regenerated from the blocking engine";
-  std::string golden = read_golden();
-  ASSERT_FALSE(golden.empty())
-      << "missing golden file " << DNSLOCATE_GOLDEN_SIGNATURES
-      << " — regenerate with DNSLOCATE_UPDATE_GOLDEN=1";
-  EXPECT_EQ(render_corpus(/*async=*/true), golden)
-      << "async engine signatures drifted from the recorded corpus";
 }
 
 }  // namespace

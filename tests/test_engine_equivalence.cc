@@ -1,9 +1,10 @@
-// The refactor's central promise: the batched engine and the historical
-// sequential loop produce byte-identical evidence. Checked three ways —
-// the full scenario corpus through SimTransport under both engines, the
-// UdpEngine against UdpTransport over real loopback sockets, and the
-// cancellation path (a drained batch reports honest timeouts and skipped
-// stages, never fabricated answers).
+// The batched engine's central promise: scheduling never changes evidence.
+// Checked three ways — the scenario corpus through SimTransport against the
+// simulator's ground truth (tests/test_corpus_golden.cc pins its bytes),
+// UdpEngine one query at a time (max_inflight = 1) against its default
+// fan-out over real loopback sockets, and the cancellation path (a drained
+// batch reports honest timeouts and skipped stages, never fabricated
+// answers).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -17,9 +18,10 @@
 #include "core/mapped_transport.h"
 #include "core/pipeline.h"
 #include "dnswire/debug_queries.h"
+#include "netbase/bogon.h"
+#include "obs/metrics.h"
 #include "sockets/loopback_server.h"
 #include "sockets/udp_engine.h"
-#include "sockets/udp_transport.h"
 
 namespace dnslocate {
 namespace {
@@ -33,58 +35,105 @@ using resolvers::PublicResolverKind;
 
 using testing_corpus::Case;
 using testing_corpus::corpus;
-using testing_corpus::signature;
 
-/// Run one scenario through the chosen engine. Each call builds a fresh
-/// world from the config, so both engines see bit-identical simulations.
-core::ProbeVerdict run_with(const ScenarioConfig& config, bool async) {
-  Scenario scenario(config);
-  LocalizationPipeline pipeline(scenario.pipeline_config());
-  return async
-             ? pipeline.run(static_cast<core::AsyncQueryTransport&>(scenario.transport()))
-             : pipeline.run(static_cast<core::QueryTransport&>(scenario.transport()));
-}
-
-TEST(EngineEquivalence, SimCorpusVerdictsAreByteIdentical) {
-  for (const Case& c : corpus()) {
-    auto blocking = run_with(c.config, /*async=*/false);
-    auto async = run_with(c.config, /*async=*/true);
-    EXPECT_EQ(signature(blocking), signature(async)) << c.name;
-  }
-}
-
-TEST(EngineEquivalence, AsyncEngineStillMatchesGroundTruth) {
-  // Equality alone could hide two engines that are identically wrong; pin a
-  // few corpus verdicts to the simulator's ground truth under the async path.
+TEST(EngineEquivalence, SimCorpusMatchesGroundTruth) {
+  // The golden file pins the corpus bytes; pin the locations to the
+  // simulator's ground truth too, so a golden regenerated from a wrong
+  // engine cannot pass.
   for (const Case& c : corpus()) {
     Scenario scenario(c.config);
     if (scenario.ground_truth().expected == core::InterceptorLocation::unknown) continue;
-    auto verdict = run_with(c.config, /*async=*/true);
+    LocalizationPipeline pipeline(scenario.pipeline_config());
+    auto verdict = pipeline.run(scenario.transport());
     EXPECT_EQ(verdict.location, scenario.ground_truth().expected) << c.name;
   }
 }
 
-TEST(EngineEquivalence, UdpEngineMatchesUdpTransportOverLoopback) {
-  resolvers::ResolverConfig behavior;
-  behavior.software = resolvers::custom_string("engine-check");
-  sockets::LoopbackDnsServer server(std::make_shared<resolvers::ResolverBehavior>(behavior));
+TEST(EngineEquivalence, OneInFlightMatchesFanOutOverLoopback) {
+  // The full pipeline over the CPE-DNAT loopback world, once with UdpEngine
+  // admitting one query at a time and once fanned out at the default cap:
+  // the evidence trail and the telemetry are byte-identical.
+  resolvers::ResolverConfig alternate;
+  alternate.software = resolvers::dnsmasq("2.78");
+  alternate.egress_v4 = *netbase::IpAddress::parse("127.0.0.1");
+  sockets::LoopbackDnsServer interceptor(
+      std::make_shared<resolvers::ResolverBehavior>(alternate));
+  auto cpe_ip = *netbase::IpAddress::parse("203.0.113.7");
 
+  core::PipelineConfig config;
+  config.cpe_public_ip = cpe_ip;
+  config.detection.test_v6 = false;
+  config.bogon.test_v6 = false;
+  config.detect_replication = true;
   core::QueryOptions options;
   options.timeout = 1500ms;
-  auto query = dnswire::make_chaos_query(0x1234, dnswire::version_bind());
+  config.detection.query = options;
+  config.cpe_check.query = options;
+  config.bogon.query = options;
+  config.transparency.query = options;
+  config.replication.query = options;
 
-  sockets::UdpTransport udp;
-  auto blocking = udp.query(server.endpoint(), query, options);
-  sockets::UdpEngine engine;
-  auto batched = engine.query(server.endpoint(), query, options);
+  auto run_with = [&](std::size_t max_inflight) {
+    sockets::UdpEngine::Config engine_config;
+    engine_config.max_inflight = max_inflight;
+    sockets::UdpEngine engine(engine_config);
+    core::MappedBatchTransport transport(engine);
+    for (PublicResolverKind kind : resolvers::all_public_resolvers())
+      for (const auto& address : resolvers::PublicResolverSpec::get(kind).service_v4)
+        transport.map_address(address, interceptor.endpoint());
+    transport.map_address(cpe_ip, interceptor.endpoint());
+    transport.map_address(netbase::BogonCatalog::default_probe_v4(), interceptor.endpoint());
+    auto verdict = LocalizationPipeline(config).run(transport);
+    const core::TransportTelemetry& t = verdict.telemetry;
+    return core::describe(verdict) + "\nqueries=" + std::to_string(t.queries) +
+           " attempts=" + std::to_string(t.attempts) + " timeouts=" +
+           std::to_string(t.timeouts) + " answered=" + std::to_string(t.answered) +
+           " conflicts=" + std::to_string(t.conflicts) +
+           " spoof=" + std::to_string(t.spoof_suspected);
+  };
 
-  ASSERT_TRUE(blocking.answered());
-  ASSERT_TRUE(batched.answered());
-  EXPECT_EQ(blocking.response->first_txt(), "engine-check");
-  EXPECT_EQ(batched.response->first_txt(), blocking.response->first_txt());
-  EXPECT_EQ(batched.retry.attempts, blocking.retry.attempts);
-  EXPECT_EQ(batched.retry.timeouts, blocking.retry.timeouts);
-  EXPECT_EQ(batched.all_responses.size(), blocking.all_responses.size());
+  std::string serial = run_with(1);
+  std::string fanned = run_with(64);
+  EXPECT_NE(serial.find("the CPE is the interceptor"), std::string::npos) << serial;
+  EXPECT_EQ(serial, fanned);
+}
+
+TEST(EngineEquivalence, OneInFlightHoldsItsSlotThroughRetries) {
+  // With max_inflight = 1 a query keeps its slot through its backoff: the
+  // second query is not sent until the first has run out of attempts, so
+  // the batch takes the sum of both timelines and never has two queries
+  // outstanding.
+  sockets::UdpEngine::Config engine_config;
+  engine_config.max_inflight = 1;
+  sockets::UdpEngine engine(engine_config);
+  core::QueryOptions options;
+  options.timeout = 60ms;
+  options.retry.max_attempts = 2;
+  options.retry.initial_backoff = 60ms;
+  core::QueryBatch batch;
+  batch.add({*netbase::IpAddress::parse("127.0.0.1"), 9},
+            dnswire::make_chaos_query(0x4001, dnswire::version_bind()), options);
+  batch.add({*netbase::IpAddress::parse("127.0.0.1"), 9},
+            dnswire::make_chaos_query(0x4002, dnswire::version_bind()), options);
+
+  obs::registry().reset();
+  obs::Config metrics;
+  metrics.metrics = true;
+  obs::enable(metrics);
+  auto start = std::chrono::steady_clock::now();
+  engine.run(batch);
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  const std::int64_t peak = obs::registry().gauge("batch_inflight_peak_queries").value();
+  obs::disable();
+  obs::registry().reset();
+
+  EXPECT_EQ(peak, 1);
+  EXPECT_GE(elapsed, 2 * (60ms + 60ms + 60ms) - 30ms);  // attempt, backoff, attempt; twice
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_FALSE(batch.result(i).answered());
+    EXPECT_EQ(batch.result(i).retry.attempts, 2u);
+    EXPECT_EQ(batch.result(i).retry.timeouts, 2u);
+  }
 }
 
 TEST(EngineEquivalence, BatchOverlapsQueriesInsteadOfSummingDelays) {
@@ -171,9 +220,9 @@ TEST(EngineEquivalence, PreCancelledBatchNeverTouchesTheWire) {
   EXPECT_TRUE(batch.drained());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_FALSE(batch.result(i).answered());
-    // Nothing hit the wire: no timeout was ever observed. (Both engines
-    // report the RetryTelemetry default of one nominal attempt here —
-    // UdpTransport breaks out of its attempt loop the same way.)
+    // Nothing hit the wire: no timeout was ever observed. (The result
+    // keeps the RetryTelemetry default of one nominal attempt, as
+    // run_exchange does when cancellation stops it before sending.)
     EXPECT_EQ(batch.result(i).retry.attempts, 1u);
     EXPECT_EQ(batch.result(i).retry.timeouts, 0u);
   }

@@ -126,29 +126,29 @@ TEST(FleetSupervision, ExpiredTokenYieldsFullySkippedVerdict) {
   EXPECT_EQ(record.verdict.telemetry.queries, 0u);
 }
 
-/// Forwards to an inner transport and cancels `token` after `after` queries.
-class CancellingTransport : public core::QueryTransport {
+/// Forwards to an inner engine and cancels `token` after `after` queries.
+class CancellingTransport : public core::SequentialTransport {
  public:
-  CancellingTransport(core::QueryTransport& inner, core::CancelToken token,
+  CancellingTransport(core::AsyncQueryTransport& inner, core::CancelToken token,
                       std::size_t after)
       : inner_(inner), token_(std::move(token)), after_(after) {}
 
   core::QueryResult query(const netbase::Endpoint& server, const dnswire::Message& message,
                           const core::QueryOptions& options) override {
-    auto result = inner_.query(server, message, options);
+    auto result = core::query_one(inner_, server, message, options);
     if (++seen_ >= after_) token_.cancel();
     return result;
   }
   [[nodiscard]] bool supports_family(netbase::IpFamily family) const override {
-    return inner_.supports_family(family);
+    return inner_.transport().supports_family(family);
   }
-  [[nodiscard]] bool supports_ttl() const override { return inner_.supports_ttl(); }
+  [[nodiscard]] bool supports_ttl() const override { return inner_.transport().supports_ttl(); }
   [[nodiscard]] bool supports_channel(simnet::Channel channel) const override {
-    return inner_.supports_channel(channel);
+    return inner_.transport().supports_channel(channel);
   }
 
  private:
-  core::QueryTransport& inner_;
+  core::AsyncQueryTransport& inner_;
   core::CancelToken token_;
   std::size_t after_;
   std::size_t seen_ = 0;

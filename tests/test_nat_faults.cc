@@ -176,7 +176,7 @@ TEST(NatFaults, FaultDuplicationDoesNotFabricateReplication) {
   atlas::Scenario scenario(config);
 
   auto query = dnswire::make_chaos_query(21, dnswire::version_bind());
-  auto result = scenario.transport().query(
+  auto result = core::query_one(scenario.transport(), 
       {ip("9.9.9.9"), netbase::kDnsPort}, query);
   ASSERT_TRUE(result.answered());
   EXPECT_FALSE(result.replicated()) << "network duplicate counted as replication";
@@ -195,7 +195,7 @@ TEST(NatFaults, GenuineReplicationSurvivesTheDuplicateFilter) {
   atlas::Scenario scenario(config);
 
   auto query = dnswire::make_chaos_query(22, dnswire::version_bind());
-  auto result = scenario.transport().query(
+  auto result = core::query_one(scenario.transport(), 
       {ip("9.9.9.9"), netbase::kDnsPort}, query);
   ASSERT_TRUE(result.answered());
   EXPECT_TRUE(result.replicated());

@@ -1,5 +1,5 @@
 // The batch layer's contracts: QueryBatch slot bookkeeping, the
-// BlockingBatchAdapter's exact-sequential-loop semantics, the seeded
+// SequentialTransport's exact-sequential-loop semantics, the seeded
 // transaction-ID streams the stage builders draw from, and the timer wheel
 // that drives the async engine's deadlines.
 #include <gtest/gtest.h>
@@ -19,7 +19,7 @@ using namespace std::chrono_literals;
 
 /// Answers every query instantly by echoing it back, recording the call
 /// order — a microscope for what an engine actually sends, and when.
-class RecordingTransport final : public core::QueryTransport {
+class RecordingTransport final : public core::SequentialTransport {
  public:
   core::QueryResult query(const netbase::Endpoint& server, const dnswire::Message& message,
                           const core::QueryOptions& options) override {
@@ -77,10 +77,9 @@ TEST(QueryBatch, SlotsCorrelateSpecsAndResultsByIndex) {
   EXPECT_TRUE(batch.drained());
 }
 
-TEST(QueryBatch, BlockingAdapterRunsInSubmissionOrderAndFillsEverySlot) {
+TEST(QueryBatch, SequentialTransportRunsInSubmissionOrderAndFillsEverySlot) {
   RecordingTransport transport;
-  core::BlockingBatchAdapter adapter(transport);
-  EXPECT_EQ(&adapter.transport(), static_cast<core::QueryTransport*>(&transport));
+  EXPECT_EQ(&transport.transport(), static_cast<core::QueryTransport*>(&transport));
 
   core::QueryBatch batch;
   for (std::uint16_t i = 0; i < 5; ++i)
@@ -88,7 +87,7 @@ TEST(QueryBatch, BlockingAdapterRunsInSubmissionOrderAndFillsEverySlot) {
               dnswire::make_query(static_cast<std::uint16_t>(0x4000 + i),
                                   *dnswire::DnsName::parse("seq.example"),
                                   dnswire::RecordType::A));
-  adapter.run(batch);
+  transport.run(batch);
 
   // Exactly the historical loop: one query() per spec, in submission order.
   ASSERT_EQ(transport.ids.size(), 5u);
@@ -102,13 +101,12 @@ TEST(QueryBatch, BlockingAdapterRunsInSubmissionOrderAndFillsEverySlot) {
   EXPECT_EQ(transport.telemetry().answered, 5u);
 }
 
-TEST(QueryBatch, BlockingAdapterNeverMarksDrained) {
-  // Per-query cancellation semantics belong to the inner transport; the
-  // adapter reports every slot as executed, even when all of them time out
+TEST(QueryBatch, SequentialTransportNeverMarksDrained) {
+  // Per-query cancellation semantics belong to the subclass's query(); the
+  // base reports every slot as executed, even when all of them time out
   // under a cancelled token — that is what the pre-batch loop did.
   RecordingTransport transport;
   transport.answer = false;
-  core::BlockingBatchAdapter adapter(transport);
 
   core::QueryOptions cancelled;
   cancelled.cancel = core::CancelToken::manual();
@@ -122,12 +120,25 @@ TEST(QueryBatch, BlockingAdapterNeverMarksDrained) {
             dnswire::make_query(2, *dnswire::DnsName::parse("y.example"),
                                 dnswire::RecordType::A),
             cancelled);
-  adapter.run(batch);
+  transport.run(batch);
 
   EXPECT_FALSE(batch.drained());
   EXPECT_EQ(transport.ids.size(), 2u);  // both were handed to the transport
   EXPECT_FALSE(batch.result(0).answered());
   EXPECT_FALSE(batch.result(1).answered());
+}
+
+TEST(QueryBatch, QueryOneIsABatchOfOne) {
+  RecordingTransport transport;
+  auto result = core::query_one(
+      transport, endpoint(853),
+      dnswire::make_query(0x5151, *dnswire::DnsName::parse("one.example"),
+                          dnswire::RecordType::A));
+  ASSERT_TRUE(result.answered());
+  EXPECT_EQ(result.response->id, 0x5151);
+  ASSERT_EQ(transport.servers.size(), 1u);
+  EXPECT_EQ(transport.servers[0].port, 853);
+  EXPECT_EQ(transport.telemetry().queries, 1u);
 }
 
 TEST(QueryBatch, RandomQueryIdStreamReplaysFromSeed) {

@@ -123,7 +123,7 @@ struct RetryWorld {
     QueryOptions options;
     options.timeout = std::chrono::milliseconds(500);
     options.retry = policy;
-    return transport.query({ip("8.8.8.8"), netbase::kDnsPort}, message, options);
+    return core::query_one(transport, {ip("8.8.8.8"), netbase::kDnsPort}, message, options);
   }
 };
 

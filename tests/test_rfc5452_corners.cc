@@ -1,7 +1,7 @@
 // RFC 5452 acceptance corners, exercised as one shared corpus across all
-// four transports: SimTransport (adversary knobs on a scenario world),
-// UdpTransport (one real socket per attempt), UdpEngine (shared-socket
-// demux) and TcpTransport (RFC 7766 framed stream). The corners:
+// three engines: SimTransport (adversary knobs on a scenario world),
+// UdpEngine (shared-socket demux) and TcpTransport (RFC 7766 framed
+// stream). The corners:
 //
 //   wrong_source             response from an endpoint other than the
 //                            queried server — rejected, spoof-suspected;
@@ -39,7 +39,6 @@
 #include "simnet/adversary.h"
 #include "sockets/tcp_transport.h"
 #include "sockets/udp_engine.h"
-#include "sockets/udp_transport.h"
 
 namespace dnslocate::sockets {
 namespace {
@@ -222,36 +221,12 @@ dnswire::Message corner_query(std::uint16_t id) {
                              dnswire::RecordType::A);
 }
 
-core::QueryResult run_corner(core::QueryTransport& transport, Corner corner,
+core::QueryResult run_corner(core::AsyncQueryTransport& engine, Corner corner,
                              std::chrono::milliseconds timeout) {
   CornerServer server(script_for(corner));
   core::QueryOptions options;
   options.timeout = timeout;
-  return transport.query(server.endpoint(), corner_query(0x2b1d), options);
-}
-
-// ---------------------------------------------------------------------------
-// UdpTransport: one socket per attempt.
-
-TEST(Rfc5452CornersUdpTransport, SharedCorpus) {
-  for (Corner corner : {Corner::wrong_source, Corner::case_mismatch,
-                        Corner::duplicate_inside_window}) {
-    UdpTransport transport;
-    auto result = run_corner(transport, corner, std::chrono::milliseconds(400));
-    expect_corner(corner, result, "UdpTransport");
-  }
-}
-
-TEST(Rfc5452CornersUdpTransport, DuplicateAfterWindowNeverReachesTheResult) {
-  UdpTransport::Config config;
-  config.duplicate_window = std::chrono::milliseconds(50);
-  UdpTransport transport(config);
-  auto result = run_corner(transport, Corner::duplicate_after_window,
-                           std::chrono::milliseconds(1000));
-  expect_corner(Corner::duplicate_after_window, result, "UdpTransport");
-  // The per-attempt socket is closed when the window ends: the straggler
-  // has nowhere to land and the accepted answer stands alone.
-  EXPECT_EQ(result.all_responses.size(), 1u);
+  return core::query_one(engine, server.endpoint(), corner_query(0x2b1d), options);
 }
 
 // ---------------------------------------------------------------------------
@@ -266,12 +241,24 @@ TEST(Rfc5452CornersUdpEngine, SharedCorpus) {
   }
 }
 
+TEST(Rfc5452CornersUdpEngine, DuplicateAfterWindowNeverReachesTheResult) {
+  UdpEngine::Config config;
+  config.duplicate_window = std::chrono::milliseconds(50);
+  UdpEngine engine(config);
+  auto result = run_corner(engine, Corner::duplicate_after_window,
+                           std::chrono::milliseconds(1000));
+  expect_corner(Corner::duplicate_after_window, result, "UdpEngine");
+  // A batch of one closes its socket when the window ends: the straggler
+  // has nowhere to land and the accepted answer stands alone.
+  EXPECT_EQ(result.all_responses.size(), 1u);
+}
+
 TEST(Rfc5452CornersUdpEngine, DuplicateAfterWindowIsDroppedAndCounted) {
   // Query 0's server answers, then sends a conflicting duplicate well after
   // the 50 ms window; query 1's server stalls so the shared socket is still
-  // open when the straggler lands. Unlike the per-attempt transport (whose
-  // closed socket simply unreceives it), the engine must drop the duplicate
-  // AND count it: its transaction is retired, not unknown.
+  // open when the straggler lands. Unlike a batch of one (whose closed
+  // socket simply unreceives it), the engine must drop the duplicate AND
+  // count it: its transaction is retired, not unknown.
   CornerServer corner(script_for(Corner::duplicate_after_window));
   CornerServer slow([](CornerServer& s, const dnswire::Message& q, const sockaddr_storage& to,
                        socklen_t len) {
@@ -428,7 +415,7 @@ TEST(Rfc5452CornersTcpTransport, SharedCorpus) {
     TcpTransport transport;
     core::QueryOptions options;
     options.timeout = std::chrono::milliseconds(400);
-    auto result = transport.query(server.endpoint(), corner_query(0x2b1d), options);
+    auto result = core::query_one(transport, server.endpoint(), corner_query(0x2b1d), options);
     expect_corner(corner, result, "TcpTransport");
   }
 }
@@ -445,7 +432,7 @@ TEST(Rfc5452CornersTcpTransport, ClosedConnectionEndsTheDuplicateWindowEarly) {
   core::QueryOptions options;
   options.timeout = std::chrono::milliseconds(2000);
   auto started = std::chrono::steady_clock::now();
-  auto result = transport.query(server.endpoint(), corner_query(0x2b1d), options);
+  auto result = core::query_one(transport, server.endpoint(), corner_query(0x2b1d), options);
   auto elapsed = std::chrono::steady_clock::now() - started;
   EXPECT_TRUE(result.answered());
   EXPECT_EQ(result.all_responses.size(), 1u);

@@ -202,7 +202,7 @@ TEST(ScenariosExtended, ExternalInterceptorWithIspResolverUser) {
   // And an ordinary resolution through the CPE forwarder still works.
   auto query = dnswire::make_query(0x42, *dnswire::DnsName::parse("example.com"),
                                    dnswire::RecordType::A);
-  auto result = scenario.transport().query(
+  auto result = core::query_one(scenario.transport(), 
       {*netbase::IpAddress::parse("192.168.1.1"), netbase::kDnsPort}, query);
   ASSERT_TRUE(result.answered());
   EXPECT_TRUE(result.response->first_address().has_value());

@@ -16,7 +16,7 @@ TEST(SimTransport, MeasuresRtt) {
   atlas::ScenarioConfig config;
   atlas::Scenario scenario(config);
   auto query = dnswire::make_chaos_query(1, dnswire::version_bind());
-  auto result = scenario.transport().query(quad9(), query);
+  auto result = core::query_one(scenario.transport(), quad9(), query);
   ASSERT_TRUE(result.answered());
   // Path: host->cpe (0.3ms) ->access (2ms) ->border (2ms) ->core (8ms)
   // ->site (6ms), server delay 0.2ms, then back: ~36.7ms round trip.
@@ -31,7 +31,7 @@ TEST(SimTransport, CountsQueriesAndCyclesPorts) {
   auto query = dnswire::make_chaos_query(1, dnswire::version_bind());
   for (int i = 0; i < 5; ++i) {
     query.id = static_cast<std::uint16_t>(i + 1);
-    EXPECT_TRUE(transport.query(quad9(), query).answered());
+    EXPECT_TRUE(core::query_one(transport, quad9(), query).answered());
   }
   EXPECT_EQ(transport.queries_sent(), 5u);
 }
@@ -42,7 +42,7 @@ TEST(SimTransport, UnsupportedFamilyTimesOutInstantly) {
   EXPECT_FALSE(scenario.transport().supports_family(netbase::IpFamily::v6));
   auto query = dnswire::make_chaos_query(1, dnswire::version_bind());
   netbase::Endpoint v6_server{*netbase::IpAddress::parse("2620:fe::fe"), 53};
-  auto result = scenario.transport().query(v6_server, query);
+  auto result = core::query_one(scenario.transport(), v6_server, query);
   EXPECT_FALSE(result.answered());
 }
 
@@ -53,7 +53,7 @@ TEST(SimTransport, V6SupportFollowsHomeConfig) {
   EXPECT_TRUE(scenario.transport().supports_family(netbase::IpFamily::v6));
   auto query = dnswire::make_chaos_query(1, dnswire::version_bind());
   netbase::Endpoint v6_server{*netbase::IpAddress::parse("2620:fe::fe"), 53};
-  auto result = scenario.transport().query(v6_server, query);
+  auto result = core::query_one(scenario.transport(), v6_server, query);
   ASSERT_TRUE(result.answered());
   EXPECT_EQ(result.response->first_txt(), "Q9-P-9.16.15");
 }
@@ -64,7 +64,7 @@ TEST(SimTransport, CollectsReplicatedDuplicates) {
   config.isp_policy.replicate = true;
   atlas::Scenario scenario(config);
   auto query = dnswire::make_chaos_query(7, dnswire::version_bind());
-  auto result = scenario.transport().query(quad9(), query);
+  auto result = core::query_one(scenario.transport(), quad9(), query);
   ASSERT_TRUE(result.answered());
   EXPECT_TRUE(result.replicated());
   EXPECT_EQ(result.all_responses.size(), 2u);
@@ -81,10 +81,10 @@ TEST(SimTransport, TtlOptionLimitsReach) {
   auto query = dnswire::make_chaos_query(9, dnswire::version_bind());
   QueryOptions options;
   options.ttl = 1;
-  EXPECT_FALSE(scenario.transport().query(quad9(), query, options).answered());
+  EXPECT_FALSE(core::query_one(scenario.transport(), quad9(), query, options).answered());
   options.ttl = 64;
   query.id = 10;
-  EXPECT_TRUE(scenario.transport().query(quad9(), query, options).answered());
+  EXPECT_TRUE(core::query_one(scenario.transport(), quad9(), query, options).answered());
 }
 
 TEST(SimTransport, LateRepliesToOldQueriesAreIgnored) {
@@ -96,10 +96,10 @@ TEST(SimTransport, LateRepliesToOldQueriesAreIgnored) {
   netbase::Endpoint bogon{netbase::BogonCatalog::default_probe_v4(), 53};
   QueryOptions short_timeout;
   short_timeout.timeout = std::chrono::milliseconds(100);
-  EXPECT_FALSE(scenario.transport().query(bogon, dead, short_timeout).answered());
+  EXPECT_FALSE(core::query_one(scenario.transport(), bogon, dead, short_timeout).answered());
 
   auto live = dnswire::make_chaos_query(12, dnswire::version_bind());
-  auto result = scenario.transport().query(quad9(), live);
+  auto result = core::query_one(scenario.transport(), quad9(), live);
   ASSERT_TRUE(result.answered());
   EXPECT_EQ(result.response->id, 12);
 }

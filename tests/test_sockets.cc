@@ -1,12 +1,14 @@
-// Socket transport tests over the in-process loopback DNS server: the same
-// pipeline that runs in the simulator runs over real UDP sockets.
+// UdpEngine tests over the in-process loopback DNS server, one query at a
+// time through core::query_one: the same pipeline that runs in the
+// simulator runs over real UDP sockets.
 #include <gtest/gtest.h>
 
 #include "core/detector.h"
+#include "core/mapped_transport.h"
 #include "dnswire/debug_queries.h"
 #include "resolvers/resolver_behavior.h"
 #include "sockets/loopback_server.h"
-#include "sockets/udp_transport.h"
+#include "sockets/udp_engine.h"
 
 namespace dnslocate::sockets {
 namespace {
@@ -18,15 +20,15 @@ std::shared_ptr<resolvers::ResolverBehavior> test_resolver() {
   return std::make_shared<resolvers::ResolverBehavior>(config);
 }
 
-TEST(UdpTransport, QueryRoundTripOverLoopback) {
+TEST(UdpEngine, QueryRoundTripOverLoopback) {
   LoopbackDnsServer server(test_resolver());
-  UdpTransport transport;
+  UdpEngine engine;
 
   auto query = dnswire::make_query(0x4242, *dnswire::DnsName::parse("example.com"),
                                    dnswire::RecordType::A);
   core::QueryOptions options;
   options.timeout = std::chrono::milliseconds(2000);
-  auto result = transport.query(server.endpoint(), query, options);
+  auto result = core::query_one(engine, server.endpoint(), query, options);
 
   ASSERT_TRUE(result.answered());
   EXPECT_EQ(result.response->id, 0x4242);
@@ -35,35 +37,35 @@ TEST(UdpTransport, QueryRoundTripOverLoopback) {
   EXPECT_GT(result.rtt.count(), 0);
 }
 
-TEST(UdpTransport, ChaosQueriesWork) {
+TEST(UdpEngine, ChaosQueriesWork) {
   LoopbackDnsServer server(test_resolver());
-  UdpTransport transport;
+  UdpEngine engine;
   auto query = dnswire::make_chaos_query(7, dnswire::version_bind());
   core::QueryOptions options;
   options.timeout = std::chrono::milliseconds(2000);
-  auto result = transport.query(server.endpoint(), query, options);
+  auto result = core::query_one(engine, server.endpoint(), query, options);
   ASSERT_TRUE(result.answered());
   EXPECT_EQ(result.response->first_txt(), "unbound 1.17.0");
 }
 
-TEST(UdpTransport, TimesOutWhenNothingListens) {
-  UdpTransport transport;
+TEST(UdpEngine, TimesOutWhenNothingListens) {
+  UdpEngine engine;
   // A loopback port with (almost certainly) no listener.
   netbase::Endpoint dead{*netbase::IpAddress::parse("127.0.0.1"), 1};
   auto query = dnswire::make_query(1, *dnswire::DnsName::parse("example.com"),
                                    dnswire::RecordType::A);
   core::QueryOptions options;
   options.timeout = std::chrono::milliseconds(100);
-  auto result = transport.query(dead, query, options);
+  auto result = core::query_one(engine, dead, query, options);
   EXPECT_FALSE(result.answered());
   EXPECT_EQ(result.status, core::QueryResult::Status::timed_out);
 }
 
-TEST(UdpTransport, CancellationCutsRetrySleepsShort) {
+TEST(UdpEngine, CancellationCutsRetrySleepsShort) {
   // Three attempts with 2s timeouts and a 2s backoff would take ~8s against
   // a dead endpoint; a 50ms cancellation budget must cut the poll horizon
   // and the inter-attempt backoff short, reporting an honest timeout.
-  UdpTransport transport;
+  UdpEngine engine;
   netbase::Endpoint dead{*netbase::IpAddress::parse("127.0.0.1"), 1};
   auto query = dnswire::make_query(2, *dnswire::DnsName::parse("example.com"),
                                    dnswire::RecordType::A);
@@ -74,7 +76,7 @@ TEST(UdpTransport, CancellationCutsRetrySleepsShort) {
   options.cancel = core::CancelToken::after(std::chrono::milliseconds(50));
 
   auto start = std::chrono::steady_clock::now();
-  auto result = transport.query(dead, query, options);
+  auto result = core::query_one(engine, dead, query, options);
   auto elapsed = std::chrono::steady_clock::now() - start;
 
   EXPECT_FALSE(result.answered());
@@ -82,14 +84,14 @@ TEST(UdpTransport, CancellationCutsRetrySleepsShort) {
   EXPECT_LT(elapsed, std::chrono::milliseconds(1000));
 }
 
-TEST(UdpTransport, SupportsV4) {
-  UdpTransport transport;
-  EXPECT_TRUE(transport.supports_family(netbase::IpFamily::v4));
-  EXPECT_TRUE(transport.supports_ttl());
+TEST(UdpEngine, SupportsV4) {
+  UdpEngine engine;
+  EXPECT_TRUE(engine.supports_family(netbase::IpFamily::v4));
+  EXPECT_TRUE(engine.supports_ttl());
 }
 
-TEST(UdpTransport, MismatchedIdIsIgnored) {
-  // A responder that answers with the wrong transaction id: the transport
+TEST(UdpEngine, MismatchedIdIsIgnored) {
+  // A responder that answers with the wrong transaction id: the engine
   // must not accept it, and the query times out.
   struct WrongId : resolvers::DnsResponder {
     std::optional<dnswire::Message> respond(const dnswire::Message& query,
@@ -100,51 +102,53 @@ TEST(UdpTransport, MismatchedIdIsIgnored) {
     }
   };
   LoopbackDnsServer server(std::make_shared<WrongId>());
-  UdpTransport transport;
+  UdpEngine engine;
   auto query = dnswire::make_query(0x1000, *dnswire::DnsName::parse("example.com"),
                                    dnswire::RecordType::A);
   core::QueryOptions options;
   options.timeout = std::chrono::milliseconds(300);
-  auto result = transport.query(server.endpoint(), query, options);
+  auto result = core::query_one(engine, server.endpoint(), query, options);
   EXPECT_FALSE(result.answered());
 }
 
-TEST(UdpTransport, BlockingResolverShowsErrorStatus) {
+TEST(UdpEngine, BlockingResolverShowsErrorStatus) {
   resolvers::ResolverConfig config;
   config.software = resolvers::chaos_refuser("filter", dnswire::Rcode::NOTIMP);
   config.block_all_rcode = dnswire::Rcode::REFUSED;
   LoopbackDnsServer server(std::make_shared<resolvers::ResolverBehavior>(config));
-  UdpTransport transport;
+  UdpEngine engine;
   auto query = dnswire::make_query(5, *dnswire::DnsName::parse("example.com"),
                                    dnswire::RecordType::A);
   core::QueryOptions options;
   options.timeout = std::chrono::milliseconds(2000);
-  auto result = transport.query(server.endpoint(), query, options);
+  auto result = core::query_one(engine, server.endpoint(), query, options);
   ASSERT_TRUE(result.answered());
   EXPECT_EQ(result.response->rcode(), dnswire::Rcode::REFUSED);
 }
 
-TEST(UdpTransport, DetectorRunsOverRealSockets) {
-  // Run step 1 against the real public-resolver addresses. What comes back
-  // depends on the environment — unreachable (timeouts), clean (standard),
-  // or intercepted (this very sandbox answers NXDOMAIN for 1.1.1.1, which
-  // the technique correctly flags). Assert environment-independent
-  // invariants: every probe executed, classified, and rendered.
-  UdpTransport transport;
+TEST(UdpEngine, DetectorRunsOverRealSockets) {
+  // Run step 1 over real sockets, with the four public resolvers' primary
+  // addresses mapped onto one loopback resolver (unmapped addresses time
+  // out hermetically): every probe is sent, answered, classified and
+  // rendered.
+  LoopbackDnsServer server(test_resolver());
+  UdpEngine engine;
+  core::MappedBatchTransport mapped(engine);
+  for (resolvers::PublicResolverKind kind : resolvers::all_public_resolvers())
+    mapped.map_address(resolvers::PublicResolverSpec::get(kind).service_v4[0], server.endpoint());
   core::InterceptionDetector::Config config;
   config.test_v6 = false;
   config.use_secondary_addresses = false;
-  config.query.timeout = std::chrono::milliseconds(60);
+  config.query.timeout = std::chrono::milliseconds(2000);
   core::InterceptionDetector detector(config);
-  auto report = detector.run(transport);
+  auto report = detector.run(mapped);
   EXPECT_EQ(report.probes.size(), 4u);
   for (const auto& probe : report.probes) {
     EXPECT_FALSE(probe.display.empty());
-    if (!probe.result.answered())
-      EXPECT_EQ(probe.verdict, core::LocationVerdict::timed_out);
-    else
-      EXPECT_NE(probe.verdict, core::LocationVerdict::timed_out);
+    EXPECT_TRUE(probe.result.answered()) << probe.display;
+    EXPECT_NE(probe.verdict, core::LocationVerdict::timed_out);
   }
+  EXPECT_EQ(server.queries_served(), 4u);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 #include "resolvers/resolver_behavior.h"
 #include "sockets/loopback_server.h"
 #include "sockets/tcp_transport.h"
-#include "sockets/udp_transport.h"
+#include "sockets/udp_engine.h"
 
 namespace dnslocate::sockets {
 namespace {
@@ -39,7 +39,7 @@ TEST(TcpTransport, RoundTripOverLoopback) {
   LoopbackDnsServer server(plain_resolver(), /*serve_tcp=*/true);
   TcpTransport tcp;
   auto query = dnswire::make_chaos_query(0x7001, dnswire::version_bind());
-  auto result = tcp.query(server.endpoint(), query, fast());
+  auto result = core::query_one(tcp, server.endpoint(), query, fast());
   ASSERT_TRUE(result.answered());
   EXPECT_EQ(result.response->first_txt(), "unbound 1.17.0");
   EXPECT_EQ(server.tcp_queries_served(), 1u);
@@ -51,7 +51,7 @@ TEST(TcpTransport, LargeAnswersArriveUntruncated) {
   TcpTransport tcp;
   auto query = dnswire::make_query(0x7002, *dnswire::DnsName::parse("big.example"),
                                    dnswire::RecordType::TXT);
-  auto result = tcp.query(server.endpoint(), query, fast());
+  auto result = core::query_one(tcp, server.endpoint(), query, fast());
   ASSERT_TRUE(result.answered());
   EXPECT_FALSE(result.response->flags.tc);
   EXPECT_EQ(result.response->first_txt()->size(), 900u);
@@ -62,7 +62,8 @@ TEST(TcpTransport, TimesOutOnDeadPort) {
   auto query = dnswire::make_query(1, *dnswire::DnsName::parse("x"), dnswire::RecordType::A);
   core::QueryOptions options;
   options.timeout = std::chrono::milliseconds(200);
-  auto result = tcp.query({*netbase::IpAddress::parse("127.0.0.1"), 9}, query, options);
+  auto result =
+      core::query_one(tcp, {*netbase::IpAddress::parse("127.0.0.1"), 9}, query, options);
   EXPECT_FALSE(result.answered());
 }
 
@@ -70,45 +71,50 @@ TEST(FallbackTransport, RetriesOverTcpOnTruncation) {
   // The UDP path truncates the 900-byte answer to fit 512; the fallback
   // must notice TC and fetch the full answer over TCP.
   LoopbackDnsServer server(big_txt_responder(900), /*serve_tcp=*/true);
-  UdpTransport udp;
+  UdpEngine udp;
   TcpTransport tcp;
   FallbackTransport fallback(udp, tcp);
 
   auto query = dnswire::make_query(0x7003, *dnswire::DnsName::parse("big.example"),
                                    dnswire::RecordType::TXT);
-  auto result = fallback.query(server.endpoint(), query, fast());
+  auto result = core::query_one(fallback, server.endpoint(), query, fast());
   ASSERT_TRUE(result.answered());
   EXPECT_FALSE(result.response->flags.tc);
   EXPECT_EQ(result.response->first_txt()->size(), 900u);
   EXPECT_EQ(fallback.tcp_retries(), 1u);
   EXPECT_EQ(server.queries_served(), 1u);      // the truncated UDP attempt
   EXPECT_EQ(server.tcp_queries_served(), 1u);  // the retry
+  // Telemetry counts both legs the fallback ran, and both answered.
+  EXPECT_EQ(fallback.telemetry().queries, 2u);
+  EXPECT_EQ(fallback.telemetry().answered, 2u);
 }
 
 TEST(FallbackTransport, SmallAnswersNeverTouchTcp) {
   LoopbackDnsServer server(plain_resolver(), /*serve_tcp=*/true);
-  UdpTransport udp;
+  UdpEngine udp;
   TcpTransport tcp;
   FallbackTransport fallback(udp, tcp);
   auto query = dnswire::make_chaos_query(0x7004, dnswire::version_bind());
-  auto result = fallback.query(server.endpoint(), query, fast());
+  auto result = core::query_one(fallback, server.endpoint(), query, fast());
   ASSERT_TRUE(result.answered());
   EXPECT_EQ(fallback.tcp_retries(), 0u);
   EXPECT_EQ(server.tcp_queries_served(), 0u);
+  EXPECT_EQ(fallback.telemetry().queries, 1u);
+  EXPECT_EQ(fallback.telemetry().answered, 1u);
 }
 
 TEST(FallbackTransport, KeepsTruncatedAnswerWhenTcpUnavailable) {
   // Server speaks UDP only: the fallback's TCP retry fails, and the
   // truncated UDP answer is returned rather than nothing.
   LoopbackDnsServer server(big_txt_responder(900), /*serve_tcp=*/false);
-  UdpTransport udp;
+  UdpEngine udp;
   TcpTransport tcp;
   FallbackTransport fallback(udp, tcp);
   auto query = dnswire::make_query(0x7005, *dnswire::DnsName::parse("big.example"),
                                    dnswire::RecordType::TXT);
   core::QueryOptions options;
   options.timeout = std::chrono::milliseconds(300);
-  auto result = fallback.query(server.endpoint(), query, options);
+  auto result = core::query_one(fallback, server.endpoint(), query, options);
   ASSERT_TRUE(result.answered());
   EXPECT_TRUE(result.response->flags.tc);
   EXPECT_EQ(fallback.tcp_retries(), 1u);
