@@ -14,6 +14,7 @@
 //   baseline (bench/baselines/BENCH_exchange_baseline.json).
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -27,6 +28,7 @@
 #include "dnswire/encoder.h"
 #include "dnswire/message.h"
 #include "jsonio/json.h"
+#include "netbase/bogon.h"
 #include "netbase/lpm.h"
 #include "obs/clock.h"
 #include "obs/span.h"
@@ -71,22 +73,62 @@ void BM_NameParse(benchmark::State& state) {
 }
 BENCHMARK(BM_NameParse);
 
-void BM_LpmLookup(benchmark::State& state) {
+/// A dual-stack routing table of `routes` entries shaped like the ones the
+/// simulator builds (both default routes, then specifics, every third one
+/// v6), and 64 v4 destinations: one hitting each v4 specific, the rest
+/// falling through to the default route.
+struct RouteTableFixture {
   netbase::LpmTable<int> table;
-  simnet::Rng rng(7);
-  for (int i = 0; i < 1000; ++i) {
-    auto addr = netbase::Ipv4Address(static_cast<std::uint32_t>(rng.next_u64()));
-    table.insert(netbase::Prefix(netbase::IpAddress(addr), 8u + static_cast<unsigned>(i) % 17u), i);
+  std::vector<netbase::IpAddress> destinations;
+
+  explicit RouteTableFixture(int routes) {
+    simnet::Rng rng(7);
+    table.insert(netbase::Prefix(netbase::IpAddress(netbase::Ipv4Address{}), 0), 0);
+    table.insert(netbase::Prefix(netbase::IpAddress(netbase::Ipv6Address{}), 0), 1);
+    for (int i = 2; i < routes; ++i) {
+      if (i % 3 == 0) {
+        std::array<std::uint8_t, 16> bytes{};
+        for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+        table.insert(netbase::Prefix(netbase::IpAddress(netbase::Ipv6Address(bytes)), 48), i);
+        continue;
+      }
+      netbase::IpAddress addr(netbase::Ipv4Address(static_cast<std::uint32_t>(rng.next_u64())));
+      table.insert(netbase::Prefix(addr, 16u + static_cast<unsigned>(i) % 17u), i);
+      if (destinations.size() < 64) destinations.push_back(addr);
+    }
+    while (destinations.size() < 64)
+      destinations.emplace_back(netbase::Ipv4Address(static_cast<std::uint32_t>(rng.next_u64())));
   }
-  std::vector<netbase::IpAddress> probes;
-  for (int i = 0; i < 64; ++i)
-    probes.emplace_back(netbase::Ipv4Address(static_cast<std::uint32_t>(rng.next_u64())));
+};
+
+// Table sizes the fleet actually looks up in: devices hold 2-7 routes, ISP
+// routers 18-21 (counted over a whole fleet pass). netbase/lpm.h is a flat
+// scan sized for exactly these. The 1000-route case is informational: no
+// caller builds a table that large; it shows the O(routes) cliff the size
+// assumption accepts.
+void BM_LpmLookup(benchmark::State& state) {
+  RouteTableFixture fixture(static_cast<int>(state.range(0)));
+  if (state.range(0) > 100) state.SetLabel("informational");
   std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.lookup(probes[i++ % probes.size()]));
-  }
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        fixture.table.lookup(fixture.destinations[i++ % fixture.destinations.size()]));
 }
-BENCHMARK(BM_LpmLookup);
+BENCHMARK(BM_LpmLookup)->Arg(4)->Arg(6)->Arg(20)->Arg(1000);
+
+// The standard bogon catalog (23 prefixes, both families) behind every
+// is_bogon() check on the forwarding path.
+void BM_BogonLookup(benchmark::State& state) {
+  const auto catalog = netbase::BogonCatalog::standard();
+  RouteTableFixture fixture(20);
+  fixture.destinations.push_back(netbase::BogonCatalog::default_probe_v4());
+  std::size_t i = 0;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        catalog.is_bogon(fixture.destinations[i++ % fixture.destinations.size()]));
+  state.counters["routes"] = static_cast<double>(catalog.entries().size());
+}
+BENCHMARK(BM_BogonLookup);
 
 void BM_SimQueryRoundTrip(benchmark::State& state) {
   atlas::ScenarioConfig config;

@@ -125,6 +125,16 @@ resolvers::SoftwareProfile isp_resolver_software(std::uint32_t asn) {
   }
 }
 
+/// Probes an org contributes: its scaled share, raised to cover its quotas.
+int org_probe_total(const OrgQuota& plan, double scale) {
+  int quota_total = plan.cpe_xb6 + plan.cpe_dnsmasq + plan.cpe_pihole + plan.cpe_unbound +
+                    plan.cpe_redhat + (plan.cpe_custom ? 1 : 0) + plan.isp_allfour +
+                    plan.isp_allfour_nobogon + plan.isp_block + plan.isp_both + plan.external +
+                    plan.one_intercepted + plan.one_allowed;
+  int scaled = static_cast<int>(static_cast<double>(plan.probes) * scale);
+  return std::max(scaled, quota_total);
+}
+
 }  // namespace
 
 const std::vector<OrgQuota>& builtin_fleet_plan() {
@@ -167,7 +177,13 @@ std::vector<ProbeSpec> generate_fleet(const FleetConfig& config) {
 
 std::vector<ProbeSpec> generate_fleet_from_plan(const std::vector<OrgQuota>& plans,
                                                 const FleetConfig& config) {
+  // Reserve up front: a ProbeSpec is large, and growing by reallocation
+  // moved each one about twice.
+  std::size_t fleet_size = 0;
+  for (const OrgQuota& plan : plans)
+    fleet_size += static_cast<std::size_t>(org_probe_total(plan, config.scale));
   std::vector<ProbeSpec> fleet;
+  fleet.reserve(fleet_size);
   simnet::Rng rng(config.seed);
   std::uint32_t probe_id = 1000;
   int global_one_intercepted = 0;
@@ -179,12 +195,7 @@ std::vector<ProbeSpec> generate_fleet_from_plan(const std::vector<OrgQuota>& pla
 
   for (const OrgQuota& plan : plans) {
     OrgInfo org{plan.org + " (AS" + std::to_string(plan.asn) + ")", plan.asn, plan.country};
-    int quota_total = plan.cpe_xb6 + plan.cpe_dnsmasq + plan.cpe_pihole + plan.cpe_unbound +
-                      plan.cpe_redhat + (plan.cpe_custom ? 1 : 0) + plan.isp_allfour +
-                      plan.isp_allfour_nobogon + plan.isp_block + plan.isp_both + plan.external +
-                      plan.one_intercepted + plan.one_allowed;
-    int scaled = static_cast<int>(static_cast<double>(plan.probes) * config.scale);
-    int total = std::max(scaled, quota_total);
+    int total = org_probe_total(plan, config.scale);
 
     // Remaining quota counters for this org, consumed probe by probe.
     int xb6 = plan.cpe_xb6, dnsmasq_q = plan.cpe_dnsmasq, pihole_q = plan.cpe_pihole;

@@ -14,9 +14,9 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "core/transport.h"
+#include "netbase/small_vector.h"
 #include "simnet/rng.h"
 
 namespace dnslocate::core {
@@ -41,12 +41,14 @@ struct QuerySpec {
 
 /// A set of queries submitted together, with a result slot per query.
 /// Results are correlated by index — arrival order is an engine detail.
+/// The first query and its result live inline, so a batch of one
+/// (core::query_one) allocates nothing.
 class QueryBatch {
  public:
   /// Append a query; returns its index (the slot its result lands in).
   std::size_t add(const netbase::Endpoint& server, dnswire::Message message,
                   const QueryOptions& options = {}) {
-    specs_.push_back(QuerySpec{server, std::move(message), options});
+    specs_.emplace_back(server, std::move(message), options);
     results_.emplace_back();
     return specs_.size() - 1;
   }
@@ -55,7 +57,6 @@ class QueryBatch {
   [[nodiscard]] bool empty() const { return specs_.empty(); }
 
   [[nodiscard]] const QuerySpec& spec(std::size_t index) const { return specs_[index]; }
-  [[nodiscard]] const std::vector<QuerySpec>& specs() const { return specs_; }
 
   [[nodiscard]] QueryResult& result(std::size_t index) { return results_[index]; }
   [[nodiscard]] const QueryResult& result(std::size_t index) const { return results_[index]; }
@@ -69,8 +70,8 @@ class QueryBatch {
   [[nodiscard]] bool drained() const { return drained_; }
 
  private:
-  std::vector<QuerySpec> specs_;
-  std::vector<QueryResult> results_;
+  netbase::SmallVector<QuerySpec, 1> specs_;
+  netbase::SmallVector<QueryResult, 1> results_;
   bool drained_ = false;
 };
 

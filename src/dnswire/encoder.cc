@@ -1,8 +1,11 @@
 #include "dnswire/encoder.h"
 
-#include <map>
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <vector>
+
+#include "netbase/small_vector.h"
 
 namespace dnslocate::dnswire {
 namespace {
@@ -51,8 +54,12 @@ class Writer {
   WireBuffer& out_;
 };
 
-/// Tracks offsets of previously written name suffixes for compression.
-/// Keys are lowercased presentation forms of each suffix.
+/// Tracks offsets of previously written name suffixes for compression. Each
+/// entry is a suffix of a name already in the message (the name's labels,
+/// its first label, the suffix's offset). A new suffix matches an entry when
+/// the two label sequences are equal label by label, ignoring ASCII case.
+/// Messages hold a handful of names, so a linear scan over an inline list
+/// beats any index and allocates nothing.
 class Compressor {
  public:
   explicit Compressor(bool enabled) : enabled_(enabled) {}
@@ -61,15 +68,14 @@ class Compressor {
     const auto& labels = name.labels();
     for (std::size_t i = 0; i < labels.size(); ++i) {
       if (enabled_) {
-        std::string key = suffix_key(name, i);
-        auto it = offsets_.find(key);
-        if (it != offsets_.end()) {
-          // Pointer: two bytes, top bits 11.
-          w.u16(static_cast<std::uint16_t>(0xc000 | it->second));  // offset < 0x4000 by construction
+        if (const Suffix* seen = find(labels, i)) {
+          // Pointer: two bytes, top bits 11; offset < 0x4000 by construction.
+          w.u16(static_cast<std::uint16_t>(0xc000 | seen->offset));
           return;
         }
         // Compression pointers can only address offsets < 0x4000.
-        if (w.size() < 0x4000) offsets_.emplace(std::move(key), w.size());
+        if (w.size() < 0x4000)
+          seen_.push_back(Suffix{&labels, i, static_cast<std::uint16_t>(w.size())});
       }
       const std::string& label = labels[i];
       w.u8(checked_u8(label.size(), "label length"));
@@ -79,19 +85,27 @@ class Compressor {
   }
 
  private:
-  static std::string suffix_key(const DnsName& name, std::size_t first_label) {
-    std::string key;
-    const auto& labels = name.labels();
-    for (std::size_t i = first_label; i < labels.size(); ++i) {
-      for (char c : labels[i])
-        key.push_back((c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c);
-      key.push_back('.');
+  struct Suffix {
+    const std::vector<std::string>* labels;  // owned by the message being encoded
+    std::size_t first;
+    std::uint16_t offset;
+  };
+
+  [[nodiscard]] const Suffix* find(const std::vector<std::string>& labels,
+                                   std::size_t first) const {
+    const std::size_t count = labels.size() - first;
+    for (const Suffix& s : seen_) {
+      if (s.labels->size() - s.first != count) continue;
+      auto earlier = s.labels->begin() + static_cast<std::ptrdiff_t>(s.first);
+      if (std::equal(earlier, s.labels->end(), labels.begin() + static_cast<std::ptrdiff_t>(first),
+                     label_equals_ignore_case))
+        return &s;
     }
-    return key;
+    return nullptr;
   }
 
   bool enabled_;
-  std::map<std::string, std::size_t> offsets_;
+  netbase::SmallVector<Suffix, 16> seen_;
 };
 
 void write_rdata(Writer& w, Compressor& compressor, const ResourceRecord& rr) {

@@ -64,27 +64,22 @@ std::size_t DnsName::wire_length() const {
 }
 
 bool DnsName::equals_ignore_case(const DnsName& other) const {
-  if (labels_.size() != other.labels_.size()) return false;
-  for (std::size_t i = 0; i < labels_.size(); ++i) {
-    const auto& a = labels_[i];
-    const auto& b = other.labels_[i];
-    if (a.size() != b.size()) return false;
-    for (std::size_t j = 0; j < a.size(); ++j)
-      if (ascii_lower(a[j]) != ascii_lower(b[j])) return false;
-  }
-  return true;
+  return labels_.size() == other.labels_.size() &&
+         std::equal(labels_.begin(), labels_.end(), other.labels_.begin(),
+                    label_equals_ignore_case);
 }
 
 bool DnsName::ends_with(const DnsName& suffix) const {
   if (suffix.labels_.size() > labels_.size()) return false;
-  std::size_t offset = labels_.size() - suffix.labels_.size();
-  for (std::size_t i = 0; i < suffix.labels_.size(); ++i) {
-    const auto& a = labels_[offset + i];
-    const auto& b = suffix.labels_[i];
-    if (a.size() != b.size()) return false;
-    for (std::size_t j = 0; j < a.size(); ++j)
-      if (ascii_lower(a[j]) != ascii_lower(b[j])) return false;
-  }
+  return std::equal(suffix.labels_.begin(), suffix.labels_.end(),
+                    labels_.end() - static_cast<std::ptrdiff_t>(suffix.labels_.size()),
+                    label_equals_ignore_case);
+}
+
+bool label_equals_ignore_case(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (ascii_lower(a[i]) != ascii_lower(b[i])) return false;
   return true;
 }
 

@@ -67,6 +67,10 @@ class DnsName {
   std::vector<std::string> labels_;
 };
 
+/// ASCII case-insensitive label equality (RFC 4343): the DNS notion of "the
+/// same label". Names compare equal iff their labels do, pairwise.
+[[nodiscard]] bool label_equals_ignore_case(std::string_view a, std::string_view b);
+
 /// Case-insensitive hash matching equals_ignore_case; pair them when using
 /// DnsName as a hash key.
 struct DnsNameCaseHash {

@@ -1,11 +1,18 @@
-// Longest-prefix-match table (binary radix trie), generic over the value
-// attached to each route. Used for routing tables, bogon catalogs with
-// custom entries, and resolver anycast catchments.
+// Longest-prefix-match table, generic over the value attached to each route.
+// Used for routing tables, bogon catalogs with custom entries, and resolver
+// anycast catchments.
+//
+// Size assumption: every table this program builds is small. Simulated
+// devices hold 2-7 routes, ISP routers 18-21, the standard bogon catalog 23.
+// At those sizes a linear scan over a flat, length-sorted vector beats a
+// pointer-chasing trie on lookup and costs one allocation to build. Lookup
+// is O(routes): do not use this for full Internet tables (bench/perf_micro
+// keeps a 1000-route case to show the cliff).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <memory>
-#include <optional>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -13,9 +20,10 @@
 
 namespace dnslocate::netbase {
 
-/// A binary trie keyed by address bits. Insert Prefix -> Value; lookup(addr)
-/// returns the value of the longest matching prefix, or nullopt.
-/// v4 and v6 live in separate tries, so families never collide.
+/// Insert Prefix -> Value; lookup(addr) returns the value of the longest
+/// matching prefix, or nullptr. Routes are kept longest-first, so the first
+/// match of a scan is the longest. v4 and v6 routes never match each other's
+/// addresses.
 template <typename Value>
 class LpmTable {
  public:
@@ -23,80 +31,54 @@ class LpmTable {
 
   /// Insert or replace the value for `prefix`.
   void insert(const Prefix& prefix, Value value) {
-    Node* node = &root(prefix.family());
-    for_each_bit(prefix.address(), prefix.length(), [&](bool bit) {
-      auto& child = bit ? node->one : node->zero;
-      if (!child) child = std::make_unique<Node>();
-      node = child.get();
+    auto it = std::find_if(routes_.begin(), routes_.end(), [&](const Route& r) {
+      return r.prefix.length() <= prefix.length();
     });
-    node->value = std::move(value);
-    ++size_;
-    if (node->had_value) --size_;  // replacement, not growth
-    node->had_value = true;
+    for (; it != routes_.end() && it->prefix.length() == prefix.length(); ++it) {
+      if (it->prefix == prefix) {
+        it->value = std::move(value);
+        return;
+      }
+    }
+    routes_.insert(it, Route{prefix, std::move(value)});
   }
 
   /// Longest-prefix match. Returns a pointer into the table (stable until
   /// the next insert/clear), or nullptr if nothing matches.
   [[nodiscard]] const Value* lookup(const IpAddress& addr) const {
-    const Node* node = &root(addr.family());
-    const Value* best = node->had_value ? &*node->value : nullptr;
-    unsigned max_bits = addr.is_v4() ? 32u : 128u;
-    for_each_bit(addr, max_bits, [&](bool bit) {
-      if (!node) return;
-      const auto& child = bit ? node->one : node->zero;
-      node = child.get();
-      if (node && node->had_value) best = &*node->value;
-    });
-    return best;
+    if (addr.is_v4()) {
+      const std::uint32_t bits = addr.v4().value();
+      for (const Route& r : routes_) {
+        if (!r.prefix.address().is_v4()) continue;
+        const unsigned len = r.prefix.length();
+        const std::uint32_t mask = len == 0 ? 0u : ~std::uint32_t{0} << (32 - len);
+        if ((bits & mask) == r.prefix.address().v4().value()) return &r.value;
+      }
+      return nullptr;
+    }
+    for (const Route& r : routes_)
+      if (r.prefix.contains(addr)) return &r.value;
+    return nullptr;
   }
 
   /// Exact-match lookup of a previously inserted prefix.
   [[nodiscard]] const Value* lookup_exact(const Prefix& prefix) const {
-    const Node* node = &root(prefix.family());
-    for_each_bit(prefix.address(), prefix.length(), [&](bool bit) {
-      if (!node) return;
-      node = (bit ? node->one : node->zero).get();
-    });
-    return node && node->had_value ? &*node->value : nullptr;
+    for (const Route& r : routes_)
+      if (r.prefix == prefix) return &r.value;
+    return nullptr;
   }
 
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-
-  void clear() {
-    v4_root_ = Node{};
-    v6_root_ = Node{};
-    size_ = 0;
-  }
+  [[nodiscard]] std::size_t size() const { return routes_.size(); }
+  [[nodiscard]] bool empty() const { return routes_.empty(); }
+  void clear() { routes_.clear(); }
 
  private:
-  struct Node {
-    std::unique_ptr<Node> zero;
-    std::unique_ptr<Node> one;
-    std::optional<Value> value;
-    bool had_value = false;
+  struct Route {
+    Prefix prefix;  // address already masked to its length
+    Value value;
   };
 
-  Node& root(IpFamily family) { return family == IpFamily::v4 ? v4_root_ : v6_root_; }
-  const Node& root(IpFamily family) const {
-    return family == IpFamily::v4 ? v4_root_ : v6_root_;
-  }
-
-  template <typename Fn>
-  static void for_each_bit(const IpAddress& addr, unsigned bits, Fn&& fn) {
-    if (addr.is_v4()) {
-      std::uint32_t v = addr.v4().value();
-      for (unsigned i = 0; i < bits && i < 32; ++i) fn((v >> (31 - i)) & 1u);
-    } else {
-      const auto& b = addr.v6().bytes();
-      for (unsigned i = 0; i < bits && i < 128; ++i)
-        fn((b[i / 8] >> (7 - i % 8)) & 1u);
-    }
-  }
-
-  Node v4_root_;
-  Node v6_root_;
-  std::size_t size_ = 0;
+  std::vector<Route> routes_;  // longest prefix first
 };
 
 }  // namespace dnslocate::netbase

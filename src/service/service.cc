@@ -143,18 +143,15 @@ MeasurementService::MeasurementService(ServiceConfig config) : config_(std::move
   if (ec && !fs::is_directory(config_.state_dir))
     throw std::runtime_error("MeasurementService: cannot create state dir " + config_.state_dir);
   recover_state_dir();
-  unsigned workers = std::max(1u, config_.workers);
-  workers_.reserve(workers);
-  for (unsigned i = 0; i < workers; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
 }
 
 MeasurementService::~MeasurementService() { drain(); }
 
 void MeasurementService::recover_state_dir() {
-  // Startup is single-threaded (workers spawn after this returns), but the
-  // registry fields are capability-guarded, so take the locks anyway: they
-  // are uncontended, and the analysis then needs no startup special case.
+  // Startup is single-threaded (workers spawn at the end, and only if runs
+  // were re-queued), but the registry fields are capability-guarded, so take
+  // the locks anyway: they are uncontended, and the analysis then needs no
+  // startup special case.
   netbase::MutexLock lock(mutex_);
   std::vector<std::shared_ptr<Run>> pending;
   for (const auto& entry : fs::directory_iterator(config_.state_dir)) {
@@ -215,6 +212,15 @@ void MeasurementService::recover_state_dir() {
             [](const auto& a, const auto& b) { return a->id < b->id; });
   recovered_runs_ = pending.size();
   for (auto& run : pending) queue_.push_back(std::move(run));
+  if (!queue_.empty()) start_workers();
+}
+
+void MeasurementService::start_workers() {
+  if (!workers_.empty() || draining_.load(std::memory_order_relaxed)) return;
+  unsigned workers = std::max(1u, config_.workers);
+  workers_.reserve(workers);
+  for (unsigned i = 0; i < workers; ++i)
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
 SubmitResult MeasurementService::submit(const std::string& body) {
@@ -357,6 +363,7 @@ SubmitResult MeasurementService::submit(const std::string& body) {
       run->stream_finished = true;
     } else {
       queue_.push_back(std::move(run));
+      start_workers();
     }
   }
   work_ready_.notify_one();
@@ -643,22 +650,21 @@ bool MeasurementService::draining() const {
 }
 
 void MeasurementService::drain() {
+  // Once draining_ is set under mutex_, start_workers() spawns nothing, so
+  // the pool swapped out here is the last one.
+  std::vector<std::thread> workers;
   {
     netbase::MutexLock lock(mutex_);
-    if (draining_.exchange(true)) {
-      // Second call: workers are already stopping (or stopped).
-    }
+    draining_.store(true);
     for (const auto& [id, run] : runs_) {
       netbase::MutexLock run_lock(run->mutex);
       if (run->state == RunState::queued || run->state == RunState::running)
         run->cancel.cancel();
     }
+    workers.swap(workers_);
   }
   work_ready_.notify_all();
-  for (auto& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
+  for (auto& worker : workers) worker.join();
   // Runs still queued were never started: close their streams so a client
   // polling the verdict endpoint sees the end of the stream.
   netbase::MutexLock lock(mutex_);

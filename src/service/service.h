@@ -183,6 +183,8 @@ class MeasurementService {
  private:
   struct Run;
 
+  /// Spawn the worker pool if it is not running yet (and not draining).
+  void start_workers() DNSLOCATE_REQUIRES(mutex_);
   void worker_loop() DNSLOCATE_EXCLUDES(mutex_);
   void execute(const std::shared_ptr<Run>& run) DNSLOCATE_EXCLUDES(mutex_);
   void recover_state_dir() DNSLOCATE_EXCLUDES(mutex_);
@@ -204,12 +206,13 @@ class MeasurementService {
   // Immutable after the constructor returns (recover_state_dir included).
   ServiceConfig config_;
   std::size_t recovered_runs_ = 0;
-  // Owned by the lifecycle thread: the constructor spawns, drain() joins.
-  std::vector<std::thread> workers_;
   std::atomic<bool> draining_{false};
 
   mutable netbase::Mutex mutex_;
   std::condition_variable work_ready_;
+  /// Empty until the first work: a service that only serves history
+  /// spawns no thread. drain() swaps the pool out and joins it.
+  std::vector<std::thread> workers_ DNSLOCATE_GUARDED_BY(mutex_);
   std::map<std::string, std::shared_ptr<Run>> runs_
       DNSLOCATE_GUARDED_BY(mutex_);  // id -> run, ordered
   std::deque<std::shared_ptr<Run>> queue_ DNSLOCATE_GUARDED_BY(mutex_);

@@ -46,14 +46,14 @@ bool NatHook::try_unnat(Simulator& sim, Device& device, UdpPacket& packet) {
   if (it == by_reply_.end()) return false;
   const Entry& entry = entries_[it->second];
   FlowKey restored = entry.orig.inverted();
-  std::string detail = "restored to " + restored.to_string();
   packet.src = restored.src;
   packet.sport = restored.sport;
   packet.dst = restored.dst;
   packet.dport = restored.dport;
   packet.conntrack_id = it->second;
   ++unnat_hits_;
-  sim.trace_event(device, TraceEvent::unnat_rewritten, packet, std::move(detail));
+  sim.trace_event(device, TraceEvent::unnat_rewritten, packet,
+                  [&] { return "restored to " + restored.to_string(); });
   return true;
 }
 
@@ -105,14 +105,11 @@ HookVerdict NatHook::prerouting(Simulator& sim, Device& device, UdpPacket& packe
       clone.conntrack_id = entry_id;
       ++dnat_hits_;
       sim.trace_event(device, TraceEvent::replicated, clone,
-                      "copy diverted to " + clone.dst_endpoint().to_string());
+                      [&] { return "copy diverted to " + clone.dst_endpoint().to_string(); });
       device.forward_injected(sim, std::move(clone));
       return HookVerdict::accept;
     }
 
-    std::string detail =
-        "dst " + packet.dst_endpoint().to_string() + " -> " +
-        netbase::Endpoint{target, target_port}.to_string();
     std::uint64_t entry_id = entries_.size();
     FlowKey orig = FlowKey::of(packet);
     packet.dst = target;
@@ -121,7 +118,10 @@ HookVerdict NatHook::prerouting(Simulator& sim, Device& device, UdpPacket& packe
     reindex(entry_id);
     packet.conntrack_id = entry_id;
     ++dnat_hits_;
-    sim.trace_event(device, TraceEvent::dnat_rewritten, packet, std::move(detail));
+    sim.trace_event(device, TraceEvent::dnat_rewritten, packet, [&] {
+      return "dst " + netbase::Endpoint{orig.dst, orig.dport}.to_string() + " -> " +
+             packet.dst_endpoint().to_string();
+    });
     return HookVerdict::accept;
   }
   return HookVerdict::accept;
@@ -157,7 +157,7 @@ HookVerdict NatHook::postrouting(Simulator& sim, Device& device, UdpPacket& pack
       entries_.push_back(Entry{FlowKey::of(packet), FlowKey::of(packet)});
       packet.conntrack_id = entry_id;
     }
-    std::string detail = "src " + packet.src_endpoint().to_string() + " -> ";
+    const netbase::Endpoint orig_src = packet.src_endpoint();
     packet.src = *to_source;
     packet.sport = next_ephemeral_;
     next_ephemeral_ = next_ephemeral_ >= 60000 ? 33000 : static_cast<std::uint16_t>(next_ephemeral_ + 1);
@@ -165,8 +165,9 @@ HookVerdict NatHook::postrouting(Simulator& sim, Device& device, UdpPacket& pack
     entries_[entry_id].translated.sport = packet.sport;
     reindex(entry_id);
     ++snat_hits_;
-    detail += packet.src_endpoint().to_string();
-    sim.trace_event(device, TraceEvent::snat_rewritten, packet, std::move(detail));
+    sim.trace_event(device, TraceEvent::snat_rewritten, packet, [&] {
+      return "src " + orig_src.to_string() + " -> " + packet.src_endpoint().to_string();
+    });
     return HookVerdict::accept;
   }
   return HookVerdict::accept;

@@ -59,13 +59,15 @@ void Simulator::transmit(Device& from, PortId port, UdpPacket packet) {
     }
     if (decision.truncate_to) {
       packet.payload.resize(*decision.truncate_to);
-      trace_event(from, TraceEvent::fault_truncated, packet,
-                  "payload cut to " + std::to_string(*decision.truncate_to) + " bytes");
+      trace_event(from, TraceEvent::fault_truncated, packet, [&] {
+        return "payload cut to " + std::to_string(*decision.truncate_to) + " bytes";
+      });
     }
     if (decision.extra_delay > SimDuration{0}) {
       fault_delay = decision.extra_delay;
-      trace_event(from, TraceEvent::fault_delayed, packet,
-                  "+" + std::to_string(decision.extra_delay.count() / 1000) + "us");
+      trace_event(from, TraceEvent::fault_delayed, packet, [&] {
+        return "+" + std::to_string(decision.extra_delay.count() / 1000) + "us";
+      });
     }
     if (decision.duplicate) {
       duplicate = true;
@@ -132,11 +134,6 @@ bool Simulator::step() {
   now_ = event.at;
   event.fn();
   return true;
-}
-
-void Simulator::trace_event(const Device& device, TraceEvent event, const UdpPacket& packet,
-                            std::string detail) {
-  if (trace_ != nullptr) trace_->record(now_, device.name(), event, packet, std::move(detail));
 }
 
 }  // namespace dnslocate::simnet

@@ -3,6 +3,7 @@
 // slice of Internet (a probe's home, its ISP, transit, and the resolvers).
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -87,9 +88,19 @@ class Simulator {
   [[nodiscard]] const DropCounters& drops() const { return drops_; }
   DropCounters& drops() { return drops_; }
 
-  /// Record a trace event if tracing is enabled.
+  /// Record a trace event if tracing is enabled. A detail is either static
+  /// text or a callable returning std::string that runs only when a sink is
+  /// attached: formatting a detail costs nothing untraced. (No std::string
+  /// overload, so an eagerly built detail does not compile.)
   void trace_event(const Device& device, TraceEvent event, const UdpPacket& packet,
-                   std::string detail = {});
+                   const char* detail = "") {
+    if (trace_ != nullptr) trace_->record(now_, device.name(), event, packet, detail);
+  }
+  template <std::invocable MakeDetail>
+  void trace_event(const Device& device, TraceEvent event, const UdpPacket& packet,
+                   MakeDetail&& make_detail) {
+    if (trace_ != nullptr) trace_->record(now_, device.name(), event, packet, make_detail());
+  }
 
  private:
   struct Event {

@@ -3,6 +3,9 @@
 // rejected without crashing.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "dnswire/debug_queries.h"
 #include "dnswire/decoder.h"
 #include "dnswire/encoder.h"
@@ -83,6 +86,35 @@ TEST(Codec, CompressionIsCaseInsensitiveButDecodesOriginalCase) {
   // bytes, so it decodes with the question's case — still equal under DNS
   // comparison rules.
   EXPECT_TRUE(decoded->answers[0].name.equals_ignore_case(name("example.com")));
+}
+
+TEST(Codec, CompressionNeverMergesNamesThatDifferOnlyInWhereTheDotsAre) {
+  // Labels may contain '.' on the wire. ["a.b","c"] and ["a","b.c"] print
+  // alike but are different names; the answer must not be written as a
+  // pointer to the question.
+  Message query = make_query(1, *DnsName::from_labels({"a.b", "c"}), RecordType::A);
+  Message response = make_response(query);
+  response.answers.push_back(
+      make_a(*DnsName::from_labels({"a", "b.c"}), netbase::Ipv4Address(192, 0, 2, 1)));
+  auto decoded = decode_message(encode_message(response));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->questions[0].name.labels(), (std::vector<std::string>{"a.b", "c"}));
+  EXPECT_EQ(decoded->answers[0].name.labels(), (std::vector<std::string>{"a", "b.c"}));
+}
+
+TEST(Codec, CompressionPointsAtTheLongestSharedSuffix) {
+  Message query = make_query(1, name("www.example.com"), RecordType::A);
+  Message response = make_response(query);
+  response.answers.push_back(make_a(name("mail.EXAMPLE.com"), netbase::Ipv4Address(1, 2, 3, 4)));
+  auto wire = encode_message(response);
+  // Question name at offset 12: 3www 7example 3com 0; "example.com" starts
+  // at 16. The answer is 4mail + a pointer to 16.
+  const std::size_t answer = 12 + 17 + 4;
+  ASSERT_GE(wire.size(), answer + 7);
+  EXPECT_EQ(wire[answer], 4);
+  EXPECT_EQ(std::string(wire.begin() + answer + 1, wire.begin() + answer + 5), "mail");
+  EXPECT_EQ(wire[answer + 5], 0xc0);
+  EXPECT_EQ(wire[answer + 6], 16);
 }
 
 TEST(Codec, TxtSplitsLongStrings) {

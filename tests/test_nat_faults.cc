@@ -5,8 +5,13 @@
 // transport layer.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+
 #include "atlas/scenario.h"
 #include "dnswire/debug_queries.h"
+#include "resolvers/public_resolver.h"
 #include "simnet/fault.h"
 #include "simnet/nat.h"
 #include "simnet/simulator.h"
@@ -200,6 +205,67 @@ TEST(NatFaults, GenuineReplicationSurvivesTheDuplicateFilter) {
   ASSERT_TRUE(result.answered());
   EXPECT_TRUE(result.replicated());
   EXPECT_EQ(result.all_responses.size(), 2u);
+}
+
+// --- the full trace text is pinned byte for byte ---
+
+/// A dual-stack home whose CPE intercepts v4 (DNAT to the ISP resolver, then
+/// SNAT on the way out) behind an ISP middlebox that replicates port-53 flows
+/// of both families, with an access link that truncates, jitters and
+/// duplicates. Every trace detail the NAT
+/// and the fault plan can emit shows up in its trace.
+std::string traced_world_text() {
+  atlas::ScenarioConfig config;
+  config.cpe.kind = atlas::CpeStyle::Kind::intercept_to_resolver;
+  config.home_ipv6 = true;
+  config.isp_policy.middlebox_enabled = true;
+  config.isp_policy.intercept_v6 = true;
+  config.isp_policy.replicate = true;
+  config.faults.truncate_rate = 0.5;
+  config.faults.jitter_max = std::chrono::milliseconds(2);
+  config.faults.duplicate_rate = 0.5;
+  config.fault_classes = {"access"};
+  atlas::Scenario scenario(config);
+  TraceSink sink;
+  scenario.sim().set_trace(&sink);
+
+  std::uint16_t id = 40;
+  for (resolvers::PublicResolverKind kind : resolvers::all_public_resolvers()) {
+    const auto& spec = resolvers::PublicResolverSpec::get(kind);
+    auto query =
+        dnswire::make_query(id++, spec.location_query.name, spec.location_query.type);
+    for (const netbase::IpAddress& server : {spec.service_v4[0], spec.service_v6[0]})
+      (void)core::query_one(scenario.transport(), {server, netbase::kDnsPort}, query);
+  }
+  for (const char* server : {"9.9.9.9", "240.9.9.9"}) {
+    auto query = dnswire::make_chaos_query(id++, dnswire::version_bind());
+    (void)core::query_one(scenario.transport(), {ip(server), netbase::kDnsPort}, query);
+  }
+  scenario.sim().set_trace(nullptr);
+
+  for (TraceEvent event : {TraceEvent::dnat_rewritten, TraceEvent::snat_rewritten,
+                           TraceEvent::unnat_rewritten, TraceEvent::replicated,
+                           TraceEvent::fault_truncated, TraceEvent::fault_delayed,
+                           TraceEvent::fault_duplicated})
+    EXPECT_GT(sink.count(event), 0u) << "scenario no longer covers " << to_string(event);
+  return sink.render();
+}
+
+// Regeneration (deliberate behaviour changes only):
+//   DNSLOCATE_UPDATE_GOLDEN=1 ./build/tests/test_nat_faults
+TEST(NatFaults, TraceTextMatchesTheRecordedGolden) {
+  std::string live = traced_world_text();
+  if (std::getenv("DNSLOCATE_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream file(DNSLOCATE_GOLDEN_TRACE);
+    ASSERT_TRUE(file.good()) << "cannot write " << DNSLOCATE_GOLDEN_TRACE;
+    file << live;
+    GTEST_SKIP() << "golden regenerated at " << DNSLOCATE_GOLDEN_TRACE;
+  }
+  std::ifstream file(DNSLOCATE_GOLDEN_TRACE);
+  std::ostringstream golden;
+  golden << file.rdbuf();
+  ASSERT_FALSE(golden.str().empty()) << "missing golden file " << DNSLOCATE_GOLDEN_TRACE;
+  EXPECT_EQ(live, golden.str()) << "trace text drifted from the recorded golden";
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <string>
 #include <thread>
 
@@ -60,6 +61,15 @@ bool wait_for_state(MeasurementService& svc, const std::string& id, RunState sta
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   return false;
+}
+
+/// Live threads in this process.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
 }
 
 // --- HTTP message layer ---
@@ -169,6 +179,56 @@ TEST(Service, DrainingAnswers503AndStopsAdmitting) {
 }
 
 // --- lifecycle ---
+
+TEST(Service, WorkersStartWithTheFirstWork) {
+  const std::string state_dir = make_scratch_dir("svc-idle");
+  std::string finished_id;
+  {
+    ServiceConfig config;
+    config.state_dir = state_dir;
+    MeasurementService svc(config);
+    auto submitted = svc.submit(kSmallPlan);
+    ASSERT_EQ(submitted.status, 202) << submitted.error;
+    finished_id = submitted.id;
+    ASSERT_TRUE(wait_for_state(svc, finished_id, RunState::completed));
+  }
+
+  // A state dir holding only finished runs: the service serves their
+  // history without spawning a single thread.
+  const std::size_t before = thread_count();
+  ServiceConfig config;
+  config.state_dir = state_dir;
+  MeasurementService svc(config);
+  EXPECT_EQ(svc.recovered_runs(), 0u);
+  auto history = svc.status(finished_id);
+  ASSERT_TRUE(history.has_value());
+  EXPECT_EQ(history->state, RunState::completed);
+  EXPECT_EQ(thread_count(), before);
+
+  // The first submit starts the pool, and the run completes.
+  auto submitted = svc.submit(kSmallPlan);
+  ASSERT_EQ(submitted.status, 202) << submitted.error;
+  EXPECT_EQ(thread_count(), before + config.workers);
+  ASSERT_TRUE(wait_for_state(svc, submitted.id, RunState::completed));
+  auto jsonl = svc.records_jsonl(submitted.id);
+  ASSERT_TRUE(jsonl.has_value());
+  EXPECT_EQ(*jsonl, baseline_jsonl(kSmallPlan));
+  svc.drain();
+  EXPECT_EQ(thread_count(), before);
+}
+
+TEST(Service, DrainWithoutWorkersReturns) {
+  const std::size_t before = thread_count();
+  ServiceConfig config;
+  config.state_dir = make_scratch_dir("svc-drain-idle");
+  MeasurementService svc(config);
+  svc.drain();
+  svc.drain();  // idempotent
+  EXPECT_TRUE(svc.draining());
+  EXPECT_EQ(thread_count(), before);
+  EXPECT_EQ(svc.submit(kSmallPlan).status, 503);
+  EXPECT_EQ(thread_count(), before);
+}
 
 TEST(Service, RunCompletesWithStreamedVerdictsAndByteIdenticalRecords) {
   ServiceConfig config;
@@ -280,10 +340,13 @@ TEST(Service, DrainThenNewServiceResumesToByteIdenticalRecords) {
     svc.drain();  // SIGTERM path: journals sync, manifest stays unmarked
   }
 
+  // Recovered work starts the pool at construction, before any submit.
+  const std::size_t before = thread_count();
   ServiceConfig config;
   config.state_dir = state_dir;
   MeasurementService svc(config);
   EXPECT_EQ(svc.recovered_runs(), 1u);
+  EXPECT_EQ(thread_count(), before + config.workers);
   auto status = svc.status(id);
   ASSERT_TRUE(status.has_value());
   EXPECT_TRUE(status->recovered);
