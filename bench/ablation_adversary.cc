@@ -144,7 +144,7 @@ atlas::MeasurementRun run_zoo_config(const atlas::AdversaryConfig& adversary, do
   config.run_fingerprint = true;
   auto fleet = atlas::generate_fleet(config);
   atlas::MeasurementOptions options;
-  options.threads = 0;  // probes are independent; use every core
+  options.shards = 0;  // probes are independent; use every core
   return atlas::run_fleet(fleet, options);
 }
 

@@ -41,7 +41,7 @@ atlas::MeasurementRun run_config(double loss, bool retries, double scale) {
 
   auto fleet = atlas::generate_fleet(config);
   atlas::MeasurementOptions options;
-  options.threads = 0;  // probes are independent; use every core
+  options.shards = 0;  // probes are independent; use every core
   return atlas::run_fleet(fleet, options);
 }
 

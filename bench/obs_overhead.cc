@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
               fleet.size(), scale, pairs, smoke ? " (smoke)" : "");
 
   atlas::MeasurementOptions options;
-  options.threads = 0;
+  options.shards = 0;
 
   obs::Config enabled_config;
   enabled_config.metrics = true;

@@ -42,11 +42,11 @@ int main() {
               fleet.size(), kScale, kPairs);
 
   atlas::MeasurementOptions bare;
-  bare.threads = 0;
+  bare.shards = 0;
 
   const std::string journal_path = "/tmp/dnslocate_supervision_overhead.journal";
   atlas::MeasurementOptions supervised;
-  supervised.threads = 0;
+  supervised.shards = 0;
   supervised.probe_deadline = std::chrono::minutes(10);  // armed, never fires
   supervised.journal_path = journal_path;
 

@@ -4,7 +4,7 @@
 // real study could not compute.
 //
 // Usage: atlas_pilot [scale] [--export results.jsonl] [--html report.html]
-//                    [--plan plan.json] [--threads N] [common flags]
+//                    [--plan plan.json] [common flags]
 //   scale in (0,1]; default 1.0 = ~9,650 probes.
 //   --export writes the per-probe dataset as JSONL (reload it with
 //   report::run_from_jsonl for offline aggregation).
@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
   const char* export_path = nullptr;
   const char* html_path = nullptr;
   const char* plan_path = nullptr;
-  unsigned threads = 1;
   examples::CommonCli common;
   for (int i = 1; i < argc; ++i) {
     if (common.parse(argc, argv, i)) {
@@ -43,8 +42,6 @@ int main(int argc, char** argv) {
       html_path = argv[++i];
     } else if (std::strcmp(argv[i], "--plan") == 0 && i + 1 < argc) {
       plan_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::atoi(argv[++i]));
     } else {
       scale = std::atof(argv[i]);
     }
@@ -78,7 +75,6 @@ int main(int argc, char** argv) {
   }
 
   atlas::MeasurementOptions options;
-  options.threads = threads;
   if (journal_path != nullptr) options.journal_path = journal_path;
   common.apply(options);
   // Ctrl-C / SIGTERM drains instead of killing: in-flight probes finish,

@@ -14,7 +14,8 @@
 //   --workers N            concurrent fleet runs (default 2)
 //   --tenant-cap N         active runs per tenant before 429 (default 2)
 //   --max-probes N         largest admissible fleet (default 20000)
-//   --run-threads N        worker threads within each run (default 1)
+//   --run-threads N        worker shards within each run (default 1; see
+//                          MeasurementOptions::shards)
 //   --probe-deadline-ms N  per-probe wall-clock budget (default none)
 //
 // Quickstart (see README.md for the full curl walkthrough):

@@ -18,6 +18,15 @@
 namespace dnslocate::atlas {
 namespace {
 
+/// The whole file at `path`; nullopt when it cannot be opened.
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream input(path, std::ios::binary);
+  if (!input) return std::nullopt;
+  std::stringstream buffer;
+  buffer << input.rdbuf();
+  return std::move(buffer).str();
+}
+
 /// fsync the journal file, timing the call. Durability syncs are the one
 /// genuinely slow operation on the checkpoint path, so their latency gets
 /// its own histogram and span.
@@ -580,12 +589,27 @@ void JournalWriter::append_batch(const std::vector<const ProbeRecord*>& batch) {
   std::string lines;
   lines.reserve(batch.size() * 1400);
   for (const ProbeRecord* record : batch) append_record_line(lines, *record);
+  write_lines(lines, batch.size());
+}
+
+void JournalWriter::append_journal_records(const std::string& path) {
+  std::optional<std::string> text = read_file(path);
+  if (!text) return;
+  std::size_t header_end = text->find('\n');
+  if (header_end == std::string::npos) return;
+  std::string_view lines = std::string_view(*text).substr(header_end + 1);
+  if (lines.empty()) return;
+  obs::Span append_span("journal/append_journal_records");
+  write_lines(lines, static_cast<std::size_t>(std::count(lines.begin(), lines.end(), '\n')));
+}
+
+void JournalWriter::write_lines(std::string_view lines, std::size_t records) {
   netbase::MutexLock lock(mutex_);
   if (file_ == nullptr) return;
   if (obs::metrics_enabled()) {
-    static obs::Counter& records = obs::registry().counter("journal_records_total");
+    static obs::Counter& journaled = obs::registry().counter("journal_records_total");
     static obs::Counter& bytes = obs::registry().counter("journal_bytes_total");
-    records.add_always(batch.size());
+    journaled.add_always(records);
     bytes.add_always(lines.size());
   }
   std::fwrite(lines.data(), 1, lines.size(), file_);
@@ -595,7 +619,7 @@ void JournalWriter::append_batch(const std::vector<const ProbeRecord*>& batch) {
   // bounds loss on power failure / kernel panic, so it can run on a much
   // coarser, time-based cadence without weakening crash tolerance.
   std::fflush(file_);
-  written_ += batch.size();
+  written_ += records;
   auto now = std::chrono::steady_clock::now();
   if (now - last_sync_ >= sync_interval_) {
     fsync_journal(file_);
@@ -704,15 +728,13 @@ JournalLoadResult parse_journal(std::string_view text) {
 }
 
 JournalLoadResult load_journal(const std::string& path) {
-  std::ifstream input(path, std::ios::binary);
-  if (!input) {
+  std::optional<std::string> text = read_file(path);
+  if (!text) {
     JournalLoadResult result;
     result.error = "cannot open " + path;
     return result;
   }
-  std::stringstream buffer;
-  buffer << input.rdbuf();
-  return parse_journal(buffer.str());
+  return parse_journal(*text);
 }
 
 }  // namespace dnslocate::atlas

@@ -77,6 +77,11 @@ class JournalWriter {
   /// Append a batch of records with a single write to the OS: the cheap way
   /// to checkpoint from a hot loop (one syscall per batch, not per record).
   void append_batch(const std::vector<const ProbeRecord*>& batch) DNSLOCATE_EXCLUDES(mutex_);
+  /// Append the record lines of the journal file at `path` verbatim,
+  /// skipping its header: how a multi-shard run consolidates its segments
+  /// without serializing every record twice. The caller guarantees the file
+  /// was written under this journal's header.
+  void append_journal_records(const std::string& path) DNSLOCATE_EXCLUDES(mutex_);
   /// Flush buffered lines and fsync.
   void sync() DNSLOCATE_EXCLUDES(mutex_);
 
@@ -84,6 +89,10 @@ class JournalWriter {
   [[nodiscard]] std::size_t written() const DNSLOCATE_EXCLUDES(mutex_);
 
  private:
+  /// Write already-serialized record lines (one per record) with a single
+  /// write to the OS, then fsync on the time-based cadence.
+  void write_lines(std::string_view lines, std::size_t records) DNSLOCATE_EXCLUDES(mutex_);
+
   // Immutable after construction.
   std::chrono::milliseconds sync_interval_;
 

@@ -157,9 +157,9 @@ MeasurementRun run_fleet_supervised(
     }
   }
 
+  JournalHeader header;
   std::unique_ptr<JournalWriter> journal;
   if (!options.journal_path.empty()) {
-    JournalHeader header;
     header.fingerprint = fleet_fingerprint(fleet);
     header.fleet_size = fleet.size();
     journal = std::make_unique<JournalWriter>(options.journal_path, header,
@@ -179,10 +179,11 @@ MeasurementRun run_fleet_supervised(
     for (std::size_t i = 0; i < fleet.size(); ++i)
       if (completed[i]) options.on_record(records[i]);
 
-  unsigned threads = options.threads;
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(std::max<std::size_t>(
-                                            1, fleet.size())));
+  // `threads` is the alias of `shards` (see MeasurementOptions).
+  unsigned shards = options.shards != 1 ? options.shards : options.threads;
+  if (shards == 0) shards = std::max(1u, std::thread::hardware_concurrency());
+  shards = std::min<unsigned>(shards,
+                              static_cast<unsigned>(std::max<std::size_t>(1, fleet.size())));
 
   // Completed records are serialized to the journal in small batches rather
   // than one by one: each probe evicts the serializer's working set from
@@ -191,148 +192,29 @@ MeasurementRun run_fleet_supervised(
   // in the noise while a crash still loses at most the last batch.
   constexpr std::size_t kJournalBatch = 32;
 
-  unsigned shards = options.shards;
-  if (shards == 0) shards = std::max(1u, std::thread::hardware_concurrency());
-  shards = std::min<unsigned>(shards,
-                              static_cast<unsigned>(std::max<std::size_t>(1, fleet.size())));
-
-  if (shards > 1) {
-    // Sharded executor: probes partition by a stable hash of their id
-    // (atlas/sharding.h); each shard is one worker thread running its
-    // probes in fleet order and journaling to its own segment file. Every
-    // probe owns its simulator, seeded from its own ScenarioConfig, so the
-    // records a sharded run produces are byte-identical to a 1-shard run —
-    // the shard only decides *where* a probe executes, never *how*.
-    std::vector<std::vector<std::size_t>> parts = partition_fleet(fleet, shards);
-    std::uint64_t fingerprint = fleet_fingerprint(fleet);
-
-    std::atomic<std::size_t> done{preloaded_count};
-    std::atomic<std::size_t> failures{0};
-    std::atomic<bool> stop{false};
-    netbase::Mutex progress_mutex;
-
-    auto shard_worker = [&](unsigned shard) {
-      // Shard-local byte arena, seeded from the fleet fingerprint and shard
-      // index. The seed cannot influence probe results (anything observable
-      // would break shard-count invariance); it drives only arena-internal
-      // state and reserves the seam for future shard-local scratch.
-      netbase::ByteArena arena(shard_seed(fingerprint, shard));
-      netbase::ScopedArena scoped(arena);
-
-      std::unique_ptr<JournalWriter> segment;
-      if (!options.journal_path.empty()) {
-        JournalHeader header;
-        header.fingerprint = fingerprint;
-        header.fleet_size = fleet.size();
-        segment = std::make_unique<JournalWriter>(
-            shard_segment_path(options.journal_path, shard, shards), header,
-            options.journal_sync_interval);
-      }
-      std::vector<const ProbeRecord*> batch;
-
-      for (std::size_t i : parts[shard]) {
-        if (stop.load(std::memory_order_relaxed) || options.cancel.cancelled()) break;
-        if (completed[i]) continue;  // restored from the journal
-        records[i] = supervised_run(fleet[i], options);
-        completed[i] = 1;
-        if (segment) {
-          batch.push_back(&records[i]);
-          if (batch.size() >= kJournalBatch) {
-            segment->append_batch(batch);
-            batch.clear();
-          }
-        }
-        if (records[i].outcome != ProbeOutcome::ok && options.max_failures > 0 &&
-            failures.fetch_add(1) + 1 >= options.max_failures)
-          stop.store(true, std::memory_order_relaxed);
-        std::size_t finished = done.fetch_add(1) + 1;
-        if (options.on_record || options.progress) {
-          netbase::MutexLock lock(progress_mutex);
-          if (options.on_record) options.on_record(records[i]);
-          if (options.progress) options.progress(finished, fleet.size());
-        }
-      }
-      if (segment) {
-        segment->append_batch(batch);
-        segment->sync();
-      }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(shards);
-    for (unsigned shard = 0; shard < shards; ++shard) pool.emplace_back(shard_worker, shard);
-    for (auto& thread : pool) thread.join();
-
-    bool all_completed = true;
-    for (std::size_t i = 0; i < fleet.size(); ++i)
-      if (!completed[i]) all_completed = false;
-
-    if (journal) {
-      if (all_completed) {
-        // Clean completion: consolidate into the base journal (reused
-        // records are already there; append the newly run ones in fleet
-        // order) and drop the segments, so the on-disk state is exactly what
-        // an unsharded run leaves. An interrupted run skips this, leaving
-        // the segments for resume_fleet to merge.
-        std::vector<const ProbeRecord*> fresh;
-        for (std::size_t i = 0; i < fleet.size(); ++i)
-          if (completed[i] && (preloaded == nullptr || preloaded->find(i) == preloaded->end()))
-            fresh.push_back(&records[i]);
-        journal->append_batch(fresh);
-        journal->sync();
-        // Remove every segment of this base path, not just this run's
-        // shard count: a resumed run may leave stale segments from the
-        // interrupted run's (different) shard count behind otherwise.
-        for (const std::string& segment : find_shard_segments(options.journal_path)) {
-          std::error_code ec;
-          std::filesystem::remove(segment, ec);
-        }
-      } else {
-        journal->sync();
-      }
-    }
-
-    MeasurementRun run;
-    run.records.reserve(fleet.size());
-    for (std::size_t i = 0; i < fleet.size(); ++i) {
-      if (completed[i])
-        run.records.push_back(std::move(records[i]));
-      else
-        ++run.not_run;
-    }
-    return run;
-  }
-
-  std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{preloaded_count};
   std::atomic<std::size_t> failures{0};
   std::atomic<bool> stop{false};
   netbase::Mutex progress_mutex;
 
-  netbase::Mutex pending_mutex;
-  std::vector<std::size_t> pending;
-  auto journal_record = [&](std::size_t i) {
-    std::vector<std::size_t> batch;
-    {
-      netbase::MutexLock lock(pending_mutex);
-      pending.push_back(i);
-      if (pending.size() >= kJournalBatch) batch.swap(pending);
-    }
-    if (batch.empty()) return;
-    std::vector<const ProbeRecord*> refs;
-    refs.reserve(batch.size());
-    for (std::size_t j : batch) refs.push_back(&records[j]);
-    journal->append_batch(refs);
-  };
-
-  auto worker = [&] {
-    while (!stop.load(std::memory_order_relaxed) && !options.cancel.cancelled()) {
-      std::size_t i = next.fetch_add(1);
-      if (i >= fleet.size()) return;
+  // One shard: its probes in fleet order, checkpointed into `out`. Every
+  // probe owns its simulator, seeded from its own ScenarioConfig, so the
+  // shard decides only *where* a probe executes, never *how*: records are
+  // byte-identical at any shard count.
+  auto run_shard = [&](const std::vector<std::size_t>& part, JournalWriter* out) {
+    std::vector<const ProbeRecord*> batch;
+    for (std::size_t i : part) {
+      if (stop.load(std::memory_order_relaxed) || options.cancel.cancelled()) break;
       if (completed[i]) continue;  // restored from the journal
       records[i] = supervised_run(fleet[i], options);
       completed[i] = 1;
-      if (journal) journal_record(i);
+      if (out != nullptr) {
+        batch.push_back(&records[i]);
+        if (batch.size() >= kJournalBatch) {
+          out->append_batch(batch);
+          batch.clear();
+        }
+      }
       if (records[i].outcome != ProbeOutcome::ok && options.max_failures > 0 &&
           failures.fetch_add(1) + 1 >= options.max_failures)
         stop.store(true, std::memory_order_relaxed);
@@ -343,26 +225,61 @@ MeasurementRun run_fleet_supervised(
         if (options.progress) options.progress(finished, fleet.size());
       }
     }
+    if (out != nullptr) out->append_batch(batch);
   };
 
-  if (threads <= 1) {
-    worker();
+  std::vector<std::vector<std::size_t>> parts = partition_fleet(fleet, shards);
+  if (shards == 1) {
+    // Inline on the calling thread, with the caller's arena, journaling
+    // straight into the base journal.
+    run_shard(parts[0], journal.get());
   } else {
-    // Each probe owns its simulator, so workers share nothing but the output
-    // slots (disjoint) and the shared counters.
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (auto& thread : pool) thread.join();
+    // One thread per shard (atlas/sharding.h). Each owns a byte arena, so
+    // the blocks its probes park return to the heap when the shard ends,
+    // and a journal segment, so shards never contend on one file.
+    std::vector<std::thread> workers;
+    workers.reserve(shards);
+    for (unsigned shard = 0; shard < shards; ++shard) {
+      workers.emplace_back([&, shard] {
+        netbase::ByteArena arena;
+        netbase::ScopedArena scoped(arena);
+        if (!journal) {
+          run_shard(parts[shard], nullptr);
+          return;
+        }
+        const std::string path = shard_segment_path(options.journal_path, shard, shards);
+        JournalWriter segment(path, header, options.journal_sync_interval);
+        if (!segment.ok()) {
+          // No segment: checkpoint into the (thread-safe) base journal.
+          run_shard(parts[shard], journal.get());
+          return;
+        }
+        run_shard(parts[shard], &segment);
+        // Consolidate however the shard ended (complete, max_failures,
+        // cancel): its record lines are appended to the base journal
+        // verbatim, overlapping the shards still running, so only a crash
+        // ever leaves a segment that the base journal lacks.
+        journal->append_journal_records(path);
+      });
+    }
+    for (auto& worker : workers) worker.join();
   }
 
   if (journal) {
-    std::vector<const ProbeRecord*> refs;
-    refs.reserve(pending.size());
-    for (std::size_t j : pending) refs.push_back(&records[j]);
-    journal->append_batch(refs);
-    pending.clear();
     journal->sync();
+    // Once the base journal is durable, drop this run's segments — and on
+    // resume every segment, whatever shard count the crashed run used.
+    std::vector<std::string> segments;
+    if (preloaded != nullptr) {
+      segments = find_shard_segments(options.journal_path);
+    } else if (shards > 1) {
+      for (unsigned shard = 0; shard < shards; ++shard)
+        segments.push_back(shard_segment_path(options.journal_path, shard, shards));
+    }
+    for (const std::string& segment : segments) {
+      std::error_code ec;
+      std::filesystem::remove(segment, ec);
+    }
   }
 
   MeasurementRun run;
@@ -502,8 +419,9 @@ MeasurementRun resume_fleet(const std::string& journal_path,
   auto loaded = load_journal(journal_path);
   absorb(loaded, "journal");
 
-  // A sharded run that was interrupted leaves per-shard segment files next
-  // to the base journal (a clean completion consolidates and removes them).
+  // A sharded run that crashed leaves per-shard segment files next to the
+  // base journal (every return, clean or early, consolidates and removes
+  // them).
   // Absorb every segment with a matching header — the shard count that wrote
   // them is irrelevant, and this resume may itself use a different one.
   for (const std::string& segment_path : find_shard_segments(journal_path)) {

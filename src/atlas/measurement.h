@@ -68,20 +68,23 @@ struct MeasurementOptions {
   /// Drop bulky raw responses after classification, keeping displays and
   /// verdicts (recommended for full-fleet runs).
   bool strip_raw_responses = true;
-  /// Worker threads. Probes are fully independent (each owns its
-  /// simulator), so the fleet parallelizes perfectly; 0 = use the hardware
-  /// concurrency, 1 = sequential. Ignored when `shards` > 1 (each shard is
-  /// one worker thread).
+  /// Alias of `shards`, read only while `shards` is 1: the worker count is
+  /// `shards != 1 ? shards : threads`. Kept for callers compiled against the
+  /// old name; new code sets `shards` (dnslint's threads-alias rule flags
+  /// assignments outside perfbench/).
   unsigned threads = 1;
-  /// Shard the fleet across this many worker shards, one thread per shard.
-  /// Probes are assigned by a stable hash of their probe id
-  /// (atlas/sharding.h), each shard journals to its own segment file, and
-  /// per-probe results are byte-identical at any shard count — 1 (the
-  /// default, unsharded) behaves exactly like the work-stealing pool.
-  /// 0 = one shard per hardware thread.
+  /// Worker count: the fleet is partitioned across this many shards by a
+  /// stable hash of the probe id (atlas/sharding.h), and per-probe results
+  /// are byte-identical at any count. 1 (the default) runs inline on the
+  /// calling thread and journals straight into `journal_path`. N > 1 runs
+  /// each shard on its own thread, with its own byte arena and journal
+  /// segment; each shard consolidates its segment into `journal_path` when
+  /// it ends, however the run ends (complete, max_failures, cancel), and
+  /// the run deletes the segments before it returns, so only a crash leaves
+  /// them. 0 = one shard per hardware thread; clamped to the fleet size.
   unsigned shards = 1;
-  /// Called after each probe completes (progress reporting). Invoked under
-  /// a mutex when threads > 1.
+  /// Called after each probe completes (progress reporting), under an
+  /// internal mutex: calls never overlap, whatever the shard count.
   std::function<void(std::size_t done, std::size_t total)> progress;
   /// Per-probe wall-clock budget; zero = unlimited. A probe over budget is
   /// cancelled cooperatively (pipeline stage checkpoints, transport waits)

@@ -25,10 +25,6 @@ unsigned shard_of(std::uint32_t probe_id, unsigned shards) {
   return static_cast<unsigned>(mix(probe_id) % shards);
 }
 
-std::uint64_t shard_seed(std::uint64_t fleet_fingerprint, unsigned shard_index) {
-  return mix(fleet_fingerprint ^ (0x5ca1ab1e00000000ull | shard_index));
-}
-
 std::vector<std::vector<std::size_t>> partition_fleet(const std::vector<ProbeSpec>& fleet,
                                                       unsigned shards) {
   if (shards == 0) shards = 1;

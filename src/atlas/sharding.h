@@ -7,9 +7,9 @@
 // affected probes between shards. Nothing observable may depend on which
 // shard a probe lands on: each probe owns its simulator, seeded from its own
 // ScenarioConfig, so per-probe verdicts are byte-identical at any shard count
-// (proved in tests/test_fleet_sharding.cc). The shard seed feeds only
-// shard-local scratch state (the worker's byte arena) that cannot influence
-// results.
+// (proved in tests/test_fleet_sharding.cc). Sharding is the fleet's only
+// executor: one shard runs inline on the caller's thread, N shards run one
+// thread each (atlas/measurement.h, MeasurementOptions::shards).
 #pragma once
 
 #include <cstdint>
@@ -24,19 +24,16 @@ namespace dnslocate::atlas {
 /// modulo the shard count. Independent of fleet order and fleet size.
 [[nodiscard]] unsigned shard_of(std::uint32_t probe_id, unsigned shards);
 
-/// Seed for shard-local scratch state (the worker's arena), derived from the
-/// fleet fingerprint and the shard index. Deliberately *not* fed to anything
-/// a probe can observe — that would break shard-count invariance.
-[[nodiscard]] std::uint64_t shard_seed(std::uint64_t fleet_fingerprint, unsigned shard_index);
-
 /// Partition fleet indices into `shards` buckets by shard_of(probe_id).
 /// Within each bucket, indices keep fleet order.
 [[nodiscard]] std::vector<std::vector<std::size_t>> partition_fleet(
     const std::vector<ProbeSpec>& fleet, unsigned shards);
 
-/// Journal segment path for one shard of a sharded run:
+/// Journal segment path for one shard of a multi-shard run:
 /// "<base>.shard-<k>-of-<n>". Segments carry the same header (fingerprint,
-/// fleet size) as the base journal.
+/// fleet size) as the base journal. Each shard consolidates its segment
+/// into the base journal when it ends and the run deletes them before it
+/// returns, so only a crashed run leaves them on disk.
 [[nodiscard]] std::string shard_segment_path(const std::string& base, unsigned shard,
                                              unsigned shards);
 

@@ -224,6 +224,13 @@ ProbeVerdict LocalizationPipeline::run(AsyncQueryTransport& engine, const Cancel
       if (drained) {
         mark_skipped(verdict, PipelineStage::transparency);
       } else {
+        // The whoami re-query is the suspects' second, independent
+        // observation. When the target's own answer raced a different one
+        // there, the interception claim rests on contested data: an
+        // unlocalized verdict degrades to `contested` (a corroborated
+        // cpe/isp attribution stands, as above).
+        if (verdict.location == InterceptorLocation::unknown && report.any_contested())
+          verdict.location = InterceptorLocation::contested;
         verdict.transparency = std::move(report);
       }
     }

@@ -3,6 +3,36 @@
 #include "resolvers/special_names.h"
 
 namespace dnslocate::core {
+namespace {
+
+/// Whether `response` is a valid resolution from the target's own egress.
+bool answered_by_target(const resolvers::PublicResolverSpec& spec,
+                        const dnswire::Message& response) {
+  if (response.rcode() != dnswire::Rcode::NOERROR) return false;
+  auto addr = response.first_address();
+  if (!addr) return false;
+  for (const auto& prefix : spec.egress_prefixes)
+    if (prefix.contains(*addr)) return true;
+  return false;
+}
+
+/// Mirrors location_evidence_contested (core/classify.h): only collected,
+/// conflicting answers that disagree on who answered contest the re-query.
+bool transparency_contested(const resolvers::PublicResolverSpec& spec,
+                            const QueryResult& result) {
+  if (!result.contested() || result.all_responses.size() < 2) return false;
+  bool any_target = false;
+  bool any_other = false;
+  for (const auto& response : result.all_responses) {
+    if (answered_by_target(spec, response))
+      any_target = true;
+    else
+      any_other = true;
+  }
+  return any_target && any_other;
+}
+
+}  // namespace
 
 std::string_view to_string(ResolverTransparency value) {
   switch (value) {
@@ -43,6 +73,7 @@ TransparencyReport TransparencyTester::run(
     const QueryResult& result = batch.result(i);
 
     TransparencyObservation obs;
+    obs.contested = transparency_contested(spec, result);
     if (!result.answered()) {
       obs.klass = ResolverTransparency::timed_out;
       obs.display = "timeout";
@@ -52,9 +83,7 @@ TransparencyReport TransparencyTester::run(
       any_modified = true;
     } else if (auto addr = result.response->first_address()) {
       obs.display = addr->to_string();
-      bool in_target_egress = false;
-      for (const auto& prefix : spec.egress_prefixes)
-        if (prefix.contains(*addr)) in_target_egress = true;
+      bool in_target_egress = answered_by_target(spec, *result.response);
       // (a) interception confirmed when the answering egress is not the
       // target's; (b) transparent because the answer is a valid resolution.
       obs.klass = in_target_egress ? ResolverTransparency::answered_by_target

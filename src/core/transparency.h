@@ -29,12 +29,22 @@ std::string_view to_string(ResolverTransparency value);
 struct TransparencyObservation {
   ResolverTransparency klass = ResolverTransparency::timed_out;
   std::string display;  // answer address or rcode
+  /// The collected answers conflict and disagree on whether the target
+  /// itself answered: an injector raced the real resolver, so this
+  /// re-query contests the interception claim instead of confirming it.
+  bool contested = false;
 };
 
 /// §4.1.2 report over the intercepted resolvers.
 struct TransparencyReport {
   std::map<resolvers::PublicResolverKind, TransparencyObservation> per_resolver;
   TransparencyClass overall = TransparencyClass::indeterminate;
+
+  [[nodiscard]] bool any_contested() const {
+    for (const auto& [kind, obs] : per_resolver)
+      if (obs.contested) return true;
+    return false;
+  }
 };
 
 class TransparencyTester {

@@ -7,8 +7,9 @@
 // PoolAllocator adapts the arena to std::vector so existing buffer code
 // keeps its shape (see ByteBuffer).
 //
-// Arenas are strictly thread-local: each fleet shard worker owns one
-// (installed with ScopedArena), so acquire/release never synchronize.
+// Arenas are strictly thread-local: each spawned fleet shard owns one
+// (installed with ScopedArena, destroyed when the shard ends), so
+// acquire/release never synchronize.
 // Blocks are plain ::operator new memory and may outlive the arena that
 // handed them out — a buffer released on another thread simply parks in
 // that thread's free lists. Pool reuse is content-independent, so recycling
@@ -38,10 +39,8 @@ class ByteArena {
   };
 
   /// `seed` drives the poison byte stream stamped over released blocks when
-  /// `poison` is on (tests use it to prove released memory is never read);
-  /// sharded fleet workers derive it from the fleet seed + shard index so
-  /// shard-local scratch stays reproducible. Poisoning is off on the hot
-  /// path — it costs a memset per release.
+  /// `poison` is on (tests use it to prove released memory is never read).
+  /// Poisoning is off on the hot path — it costs a memset per release.
   explicit ByteArena(std::uint64_t seed = 0, bool poison = false);
   ~ByteArena();
 
@@ -86,8 +85,10 @@ class ByteArena {
 
 /// The calling thread's arena. Worker threads that want a dedicated arena
 /// install one with ScopedArena; everything else shares a lazily created
-/// per-thread default. The default is intentionally leaked at thread exit
-/// so buffers owned by statics can still release during shutdown.
+/// per-thread default. The default is intentionally leaked at thread exit,
+/// parked blocks included, so buffers owned by statics can still release
+/// during shutdown — which is why short-lived workers (fleet shards) must
+/// install their own.
 ByteArena& this_thread_arena();
 
 /// Install `arena` as the calling thread's arena for the current scope.

@@ -12,6 +12,7 @@
 
 #include "atlas/fleet_json.h"
 #include "atlas/journal.h"
+#include "netbase/arena.h"
 #include "report/aggregate.h"
 #include "report/results_io.h"
 
@@ -371,6 +372,11 @@ SubmitResult MeasurementService::submit(const std::string& body) {
 }
 
 void MeasurementService::worker_loop() {
+  // One-shard runs execute inline on this thread, so it owns the arena their
+  // packet buffers park in: a thread's fallback arena is leaked at exit
+  // (netbase/arena.h).
+  netbase::ByteArena arena;
+  netbase::ScopedArena scoped(arena);
   for (;;) {
     std::shared_ptr<Run> run;
     {
@@ -408,7 +414,7 @@ void MeasurementService::execute(const std::shared_ptr<Run>& run) {
 
     atlas::MeasurementOptions options;
     options.strip_raw_responses = true;
-    options.threads = std::max(1u, config_.run_threads);
+    options.shards = std::max(1u, config_.run_threads);
     options.probe_deadline = config_.probe_deadline;
     options.journal_path = run->journal_path;
     options.cancel = run->cancel;

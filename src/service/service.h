@@ -64,8 +64,11 @@ struct ServiceConfig {
   std::size_t tenant_cap = 2;
   /// Largest admissible fleet (generated probes); larger plans get 413.
   std::size_t max_probes = 20000;
-  /// Threads per fleet run (MeasurementOptions::threads). The pool bounds
-  /// cross-run concurrency; this bounds concurrency within one run.
+  /// Shards per fleet run (MeasurementOptions::shards). The pool bounds
+  /// cross-run concurrency; this bounds concurrency within one run. Above
+  /// 1, a run journals to per-shard segments that it consolidates into the
+  /// run's journal on every return, so after a clean stop the journal alone
+  /// holds the run's records.
   unsigned run_threads = 1;
   /// Per-probe wall-clock budget forwarded to the supervisor (0 = none).
   std::chrono::milliseconds probe_deadline{0};

@@ -3,6 +3,10 @@
 // machinery that keeps the classifier honest under them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "atlas/fleet.h"
+#include "atlas/measurement.h"
 #include "atlas/scenario.h"
 #include "core/describe.h"
 #include "core/fingerprint.h"
@@ -111,6 +115,40 @@ TEST(Spoofer, IspInterceptionStaysLocalizedUnderSpoofing) {
   atlas::Scenario scenario(config);
   ProbeVerdict verdict = run_pipeline(scenario);
   EXPECT_EQ(verdict.location, InterceptorLocation::isp);
+}
+
+TEST(Spoofer, LoneForgeryAfterBurstLossIsNeverUnknownOnACleanPath) {
+  // Regression: full fleet, the hostile adversary mix (burst loss, three
+  // attempts, transit spoofer, omnibox DPI, fingerprinting), seed 5. Probe
+  // 10295's home is clean, but a long burst on its access link eats every
+  // location query except two whose only surviving answer is the forgery,
+  // and the bogon stage times out. Detection alone therefore names Quad9
+  // and OpenDNS intercepted without a conflict to contest it. The whoami
+  // re-query of those suspects collects the forgery *and* the target's
+  // own answer: that contests the claim, so the verdict must not fall to
+  // `unknown` (interception at no locus on a clean path).
+  atlas::FleetConfig config;
+  config.seed = 5;
+  config.scale = 1.0;
+  config.faults = simnet::FaultProfile::burst_loss(0.05);
+  config.retry.max_attempts = 3;
+  config.adversary.transit_spoofer = simnet::SpooferConfig{};
+  config.adversary.isp_dpi = simnet::dpi_omnibox();
+  config.run_fingerprint = true;
+  const auto fleet = atlas::generate_fleet(config);
+  const auto spec = std::find_if(fleet.begin(), fleet.end(),
+                                 [](const atlas::ProbeSpec& p) { return p.probe_id == 10295; });
+  ASSERT_NE(spec, fleet.end());
+
+  atlas::ProbeRecord record = atlas::run_probe(*spec);
+  ASSERT_EQ(record.truth.expected, InterceptorLocation::not_intercepted);
+  EXPECT_FALSE(record.verdict.detection.any_contested());
+  EXPECT_TRUE(record.verdict.location == InterceptorLocation::not_intercepted ||
+              record.verdict.location == InterceptorLocation::contested)
+      << "measured " << to_string(record.verdict.location);
+  ASSERT_TRUE(record.verdict.transparency.has_value());
+  EXPECT_TRUE(record.verdict.transparency->any_contested());
+  EXPECT_GT(record.verdict.telemetry.conflicts, 0u);
 }
 
 TEST(Dpi, FoldixIsFingerprintedByCaseMismatch) {

@@ -152,7 +152,7 @@ TEST(Measurement, ParallelRunMatchesSequential) {
   auto a = run_fleet(fleet, sequential);
 
   MeasurementOptions parallel;
-  parallel.threads = 4;
+  parallel.shards = 4;
   std::size_t progress_calls = 0;
   parallel.progress = [&](std::size_t, std::size_t) { ++progress_calls; };
   auto b = run_fleet(fleet, parallel);

@@ -1,4 +1,4 @@
-// dnslint's own tests: every rule R1-R9 fires on its fixture, suppressions
+// dnslint's own tests: every rule R1-R10 fires on its fixture, suppressions
 // with reasons are honoured, reasonless/unknown allows are findings, and
 // clean code stays clean. Fixture trees live under tests/lint_fixtures/
 // (DNSLINT_FIXTURES points there; the same trees gate the CLI via the
@@ -50,6 +50,7 @@ TEST(DnslintFixtures, EveryRuleFiresOnViolationTree) {
   EXPECT_TRUE(rules.count(std::string(lint::kRuleNoBlockingUnderLock)));
   EXPECT_TRUE(rules.count(std::string(lint::kRuleLockOrder)));
   EXPECT_TRUE(rules.count(std::string(lint::kRuleAnnotationCoverage)));
+  EXPECT_TRUE(rules.count(std::string(lint::kRuleThreadsAlias)));
   EXPECT_TRUE(rules.count(std::string(lint::kRuleBadSuppression)));
 }
 
@@ -104,6 +105,19 @@ TEST(DnslintFixtures, AcceptanceSeamCatchesStrayArbitration) {
   // is_acceptable_response (decl + call), responses_conflict (decl + call),
   // rerandomize_query (decl + call), bytes_hash (def).
   EXPECT_GE(count_rule(findings, lint::kRuleAcceptanceSeam, "bad_acceptance"), 7u);
+}
+
+TEST(DnslintFixtures, AcceptanceSeamCatchesSingleQueryTransportVirtuals) {
+  auto findings = lint_tree(kViolations);
+  // QueryTransport::query and AsyncQueryTransport::send_one (a declaration
+  // spanning two lines); the capability virtual and run() are not findings.
+  EXPECT_EQ(count_rule(findings, lint::kRuleAcceptanceSeam, "bad_transport_seam"), 2u);
+}
+
+TEST(DnslintFixtures, ThreadsAliasFiresOutsidePerfbench) {
+  auto findings = lint_tree(kViolations);
+  // `.threads =`, `->threads =` and a designated initializer in bench/.
+  EXPECT_EQ(count_rule(findings, lint::kRuleThreadsAlias, "bad_threads_alias"), 3u);
 }
 
 TEST(DnslintFixtures, BlockingUnderLockCatchesThePr8Reconstruction) {
@@ -184,6 +198,55 @@ TEST(DnslintRules, AcceptanceSeamScoping) {
   // still apply to it).
   for (const auto& f : lint::lint_file("src/core/exchange.h", conflict))
     EXPECT_NE(f.rule, std::string(lint::kRuleAcceptanceSeam)) << f.to_string();
+}
+
+TEST(DnslintRules, TransportInterfacesKeepOneExecutionSeam) {
+  const std::string regrown =
+      "class QueryTransport {\n"
+      " public:\n"
+      "  virtual bool supports_ttl() const { return false; }\n"
+      "  virtual QueryResult query(const Endpoint& server,\n"
+      "                            const Message& message) = 0;\n"
+      "};\n";
+  auto findings = lint::lint_file("src/core/x.cc", regrown);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, std::string(lint::kRuleAcceptanceSeam));
+  EXPECT_EQ(findings[0].line, 4u);
+
+  // The sanctioned one-at-a-time base, subclasses and forward declarations
+  // are not the interface.
+  const std::string sequential =
+      "class QueryTransport;\n"
+      "class SequentialTransport : public QueryTransport {\n"
+      " protected:\n"
+      "  virtual QueryResult query(const Endpoint& s, const Message& m) = 0;\n"
+      "};\n"
+      "class TcpTransport : public SequentialTransport {\n"
+      "  QueryResult query(const Endpoint& s, const Message& m) override;\n"
+      "};\n";
+  EXPECT_TRUE(lint::lint_file("src/sockets/x.cc", sequential).empty());
+}
+
+TEST(DnslintRules, ThreadsAliasScoping) {
+  const std::string assign = "void f(MeasurementOptions& o) { o.threads = 4; }\n";
+  EXPECT_EQ(lint::lint_file("bench/x.cc", assign).size(), 1u);
+  EXPECT_EQ(lint::lint_file("tests/x.cc", assign).size(), 1u);
+  EXPECT_EQ(lint::lint_file("examples/x.cpp", assign).size(), 1u);
+  EXPECT_EQ(lint::lint_file("src/service/x.cc", assign).size(), 1u);
+  EXPECT_TRUE(lint::lint_file("perfbench/x.cc", assign).empty());
+
+  const std::string lookalikes =
+      "bool g(MeasurementOptions& o, ServiceConfig& c, unsigned threads) {\n"
+      "  c.run_threads = 2;\n"
+      "  threads = 3;\n"
+      "  return o.threads == threads;\n"
+      "}\n";
+  EXPECT_TRUE(lint::lint_file("bench/x.cc", lookalikes).empty());
+
+  const std::string allowed =
+      "// dnslint: allow(threads-alias): exercises the alias itself\n"
+      "void f(MeasurementOptions& o) { o.threads = 4; }\n";
+  EXPECT_TRUE(lint::lint_file("tests/x.cc", allowed).empty());
 }
 
 TEST(DnslintRules, SeamFilesMayTouchEntropyAndClock) {
@@ -462,6 +525,20 @@ TEST(DnslintDiscovery, WalksHeadersAndSources) {
   }
   EXPECT_TRUE(has_header);
   EXPECT_TRUE(has_source);
+  // Beyond src/, for the threads-alias rule.
+  EXPECT_TRUE(std::any_of(files.begin(), files.end(), [](const std::string& f) {
+    return f.find("bench/bad_threads_alias.cc") != std::string::npos;
+  }));
+}
+
+TEST(DnslintDiscovery, RepoWalkSkipsTheFixtureTrees) {
+  const auto repo = std::filesystem::path(DNSLINT_FIXTURES).parent_path().parent_path();
+  auto files = lint::discover_sources(repo.string(), "");
+  ASSERT_FALSE(files.empty());
+  for (const auto& f : files) EXPECT_EQ(f.find("lint_fixtures"), std::string::npos) << f;
+  EXPECT_TRUE(std::any_of(files.begin(), files.end(), [](const std::string& f) {
+    return f.find("examples/atlas_pilot.cpp") != std::string::npos;
+  }));
 }
 
 }  // namespace

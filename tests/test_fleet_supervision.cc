@@ -1,7 +1,7 @@
 // Fleet supervision: a throwing probe becomes a failed record, a hanging
 // probe is cancelled at its deadline with a partial verdict, healthy probes
 // are untouched, and max_failures stops a doomed campaign cleanly — the
-// worker pool itself never aborts.
+// fleet executor itself never aborts.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -44,7 +44,7 @@ TEST(FleetSupervision, MixedFleetCompletesWithoutAbort) {
     role[fleet[i].probe_id] = static_cast<int>(i % 3);
 
   atlas::MeasurementOptions options;
-  options.threads = 4;
+  options.shards = 4;
   options.probe_deadline = std::chrono::milliseconds(100);
   options.runner = [&role](const atlas::ProbeSpec& spec, const core::CancelToken& token) {
     switch (role.at(spec.probe_id)) {
@@ -182,7 +182,7 @@ TEST(FleetSupervision, MaxFailuresStopsCleanlyWithJournalIntact) {
   std::string journal = testing::TempDir() + "max_failures.journal";
 
   atlas::MeasurementOptions options;
-  options.threads = 1;  // deterministic dispatch order
+  options.shards = 1;  // inline: deterministic dispatch order
   options.max_failures = 3;
   options.journal_path = journal;
   options.runner = [](const atlas::ProbeSpec&, const core::CancelToken&) -> atlas::ProbeRecord {

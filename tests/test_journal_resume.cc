@@ -128,7 +128,7 @@ TEST(Journal, KillAndResumeIsByteIdentical) {
   std::set<std::uint32_t> rigged = {fleet[5].probe_id, fleet[12].probe_id,
                                     fleet[20].probe_id};
   atlas::MeasurementOptions interrupted;
-  interrupted.threads = 1;
+  interrupted.shards = 1;
   interrupted.max_failures = 3;
   interrupted.journal_path = journal;
   interrupted.runner = [&rigged](const atlas::ProbeSpec& spec,

@@ -11,6 +11,7 @@
 
 #include "atlas/fleet_json.h"
 #include "atlas/measurement.h"
+#include "atlas/sharding.h"
 #include "obs/metrics.h"
 #include "report/results_io.h"
 #include "service/api.h"
@@ -48,7 +49,7 @@ std::string baseline_jsonl(const std::string& plan) {
   EXPECT_TRUE(parsed.ok());
   atlas::MeasurementOptions options;
   options.strip_raw_responses = true;
-  options.threads = 1;
+  options.shards = 1;
   return report::run_to_jsonl(atlas::run_fleet(parsed.generate(), options));
 }
 
@@ -360,6 +361,55 @@ TEST(Service, DrainThenNewServiceResumesToByteIdenticalRecords) {
   auto page = svc.verdicts(id, 0);
   ASSERT_TRUE(page.has_value());
   EXPECT_EQ(page->lines.size(), 120u);
+}
+
+TEST(Service, CancelAtTwoRunThreadsThenRestartKeepsEveryMeasuredRecord) {
+  // At run_threads = 2 a run journals to per-shard segments. A user cancel
+  // finalizes the run, and after a restart its /records are read from the
+  // base journal alone — so the cancelled run must have consolidated its
+  // segments before it returned.
+  const std::string state_dir = make_scratch_dir("svc-cancel-shards");
+  std::string id;
+  std::string before_restart;
+  std::size_t measured = 0;
+  {
+    ServiceConfig config;
+    config.state_dir = state_dir;
+    config.run_threads = 2;
+    MeasurementService svc(config);
+    auto submitted = svc.submit(paced_plan("erin", 300, 15));
+    ASSERT_EQ(submitted.status, 202) << submitted.error;
+    id = submitted.id;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (std::chrono::steady_clock::now() < deadline) {
+      auto status = svc.status(id);
+      if (status && status->probes_done >= 40) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_TRUE(svc.cancel(id));
+    ASSERT_TRUE(wait_for_state(svc, id, RunState::cancelled));
+    auto status = svc.status(id);
+    ASSERT_TRUE(status.has_value());
+    measured = status->probes_done;
+    EXPECT_GE(measured, 40u);
+    EXPECT_GT(status->not_run, 0u);
+    auto jsonl = svc.records_jsonl(id);
+    ASSERT_TRUE(jsonl.has_value());
+    before_restart = *jsonl;
+  }
+  EXPECT_TRUE(atlas::find_shard_segments(state_dir + "/" + id + ".journal").empty());
+
+  ServiceConfig config;
+  config.state_dir = state_dir;
+  config.run_threads = 2;
+  MeasurementService svc(config);
+  EXPECT_EQ(svc.recovered_runs(), 0u);  // terminal: nothing to resume
+  auto jsonl = svc.records_jsonl(id);
+  ASSERT_TRUE(jsonl.has_value());
+  std::size_t lines = 0;
+  for (char c : *jsonl) lines += c == '\n' ? 1 : 0;
+  EXPECT_EQ(lines, measured);
+  EXPECT_EQ(*jsonl, before_restart);
 }
 
 TEST(Service, ConcurrentTenantRunsKeepIsolatedJournalsAndRecords) {

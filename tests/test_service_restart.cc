@@ -1,8 +1,9 @@
-// Satellite #3 — the daemon's crash story, end to end: start dnslocated as
-// a real child process, submit a paced fleet, `kill -9` it mid-run, start a
-// fresh daemon on the same state directory, and assert the resumed
-// MeasurementRun is byte-identical to an uninterrupted in-process run of
-// the same plan. Also exercises the SIGTERM clean-drain exit path.
+// The daemon's crash story, end to end: start dnslocated as a real child
+// process, submit a paced fleet, `kill -9` it mid-run, start a fresh daemon
+// on the same state directory, and assert the resumed MeasurementRun is
+// byte-identical to an uninterrupted in-process run of the same plan — at
+// one run thread (one journal) and at two (per-shard journal segments).
+// Also exercises the SIGTERM clean-drain exit path.
 //
 // The daemon binary's path arrives via the DNSLOCATED_BIN compile
 // definition (tests/CMakeLists.txt points it at the built target).
@@ -18,7 +19,9 @@
 #include <thread>
 
 #include "atlas/fleet_json.h"
+#include "atlas/journal.h"
 #include "atlas/measurement.h"
+#include "atlas/sharding.h"
 #include "report/results_io.h"
 #include "service_test_util.h"
 
@@ -38,14 +41,16 @@ constexpr const char* kPlan =
          {"org": "SideNet", "asn": 64731, "country": "DE", "probes": 60,
           "one_allowed": 2}]})";
 
-pid_t spawn_daemon(const std::string& state_dir, const std::string& port_file) {
+pid_t spawn_daemon(const std::string& state_dir, const std::string& port_file,
+                   unsigned run_threads) {
   // Unlink before forking so wait_for_port_file can never read a previous
   // daemon's port.
   ::unlink(port_file.c_str());
+  const std::string threads = std::to_string(run_threads);
   pid_t pid = fork();
   if (pid == 0) {
     execl(DNSLOCATED_BIN, DNSLOCATED_BIN, "--state-dir", state_dir.c_str(), "--port-file",
-          port_file.c_str(), static_cast<char*>(nullptr));
+          port_file.c_str(), "--run-threads", threads.c_str(), static_cast<char*>(nullptr));
     _exit(127);  // exec failed
   }
   return pid;
@@ -60,12 +65,16 @@ std::size_t probes_done(std::uint16_t port, const std::string& id) {
   return std::strtoull(status.body.c_str() + pos + needle.size(), nullptr, 10);
 }
 
-TEST(ServiceRestart, Kill9MidRunThenResumeIsByteIdenticalToUninterrupted) {
-  const std::string state_dir = make_scratch_dir("svc-kill9");
+/// Submit kPlan to a daemon at `run_threads`, kill -9 it once `kill_after`
+/// probes are done, restart it on the same state directory, and require the
+/// resumed run's /records to equal an uninterrupted in-process run
+/// byte for byte. Ends with a SIGTERM drain that must exit 0.
+void kill9_then_resume(const char* tag, unsigned run_threads, std::size_t kill_after) {
+  const std::string state_dir = make_scratch_dir(tag);
   const std::string port_file = state_dir + "/port";
 
   // --- first daemon: submit, let it journal some records, kill -9 ---
-  pid_t first = spawn_daemon(state_dir, port_file);
+  pid_t first = spawn_daemon(state_dir, port_file, run_threads);
   ASSERT_GT(first, 0);
   std::uint16_t port = wait_for_port_file(port_file);
   ASSERT_GT(port, 0) << "daemon never wrote its port file";
@@ -80,18 +89,31 @@ TEST(ServiceRestart, Kill9MidRunThenResumeIsByteIdenticalToUninterrupted) {
   // genuinely reuses journaled work instead of re-running everything.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
   std::size_t done = 0;
-  while (std::chrono::steady_clock::now() < deadline && done < 60) {
+  while (std::chrono::steady_clock::now() < deadline && done < kill_after) {
     done = probes_done(port, id);
-    if (done < 60) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    if (done < kill_after) std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  ASSERT_GE(done, 60u) << "fleet never reached the kill point";
+  ASSERT_GE(done, kill_after) << "fleet never reached the kill point";
   ASSERT_EQ(kill(first, SIGKILL), 0);
   int wait_status = 0;
   ASSERT_EQ(waitpid(first, &wait_status, 0), first);
   ASSERT_TRUE(WIFSIGNALED(wait_status));
 
+  // A multi-shard run journals to per-shard segments until its shards end,
+  // so the kill leaves them behind, holding records, for the restart to
+  // absorb.
+  const std::string journal = state_dir + "/" + id + ".journal";
+  if (run_threads > 1) {
+    std::size_t segment_records = 0;
+    for (const std::string& segment : atlas::find_shard_segments(journal))
+      segment_records += atlas::load_journal(segment).records.size();
+    EXPECT_GT(segment_records, 0u);
+  } else {
+    EXPECT_TRUE(atlas::find_shard_segments(journal).empty());
+  }
+
   // --- second daemon: same state dir; must recover and finish the run ---
-  pid_t second = spawn_daemon(state_dir, port_file);
+  pid_t second = spawn_daemon(state_dir, port_file, run_threads);
   ASSERT_GT(second, 0);
   port = wait_for_port_file(port_file);
   ASSERT_GT(port, 0);
@@ -117,15 +139,17 @@ TEST(ServiceRestart, Kill9MidRunThenResumeIsByteIdenticalToUninterrupted) {
   ASSERT_EQ(records.status, 200);
 
   // The heart of the test: kill -9 + restart + resume produced exactly the
-  // bytes an uninterrupted run produces (run_to_jsonl is wall-clock-free;
-  // the daemon runs fleets with strip_raw_responses=true, threads=1).
+  // bytes an uninterrupted run produces (run_to_jsonl is wall-clock-free,
+  // the daemon runs fleets with strip_raw_responses=true, and records do
+  // not depend on the shard count).
   auto parsed = atlas::fleet_from_json(kPlan);
   ASSERT_TRUE(parsed.ok());
   atlas::MeasurementOptions options;
   options.strip_raw_responses = true;
-  options.threads = 1;
+  options.shards = 1;
   const std::string uninterrupted = report::run_to_jsonl(atlas::run_fleet(parsed.generate(), options));
   EXPECT_EQ(records.body, uninterrupted);
+  EXPECT_TRUE(atlas::find_shard_segments(journal).empty());
 
   // The verdict stream saw every probe exactly once too.
   auto verdicts = http_request(port, "GET", "/v1/fleets/" + id + "/verdicts");
@@ -139,6 +163,16 @@ TEST(ServiceRestart, Kill9MidRunThenResumeIsByteIdenticalToUninterrupted) {
   ASSERT_EQ(waitpid(second, &wait_status, 0), second);
   ASSERT_TRUE(WIFEXITED(wait_status));
   EXPECT_EQ(WEXITSTATUS(wait_status), 0);
+}
+
+TEST(ServiceRestart, Kill9MidRunThenResumeIsByteIdenticalToUninterrupted) {
+  kill9_then_resume("svc-kill9", 1, 60);
+}
+
+TEST(ServiceRestart, Kill9MidRunAtTwoRunThreadsResumesFromSegmentsByteIdentically) {
+  // Two shards of ~150 probes each: by 100 done, a shard has flushed a
+  // journal batch (32 records) to its segment.
+  kill9_then_resume("svc-kill9-shards", 2, 100);
 }
 
 }  // namespace

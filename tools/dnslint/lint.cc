@@ -25,10 +25,11 @@ struct Directives {
   std::vector<Finding> errors;  // bad-suppression findings
 };
 
-constexpr std::array<std::string_view, 9> kKnownRules = {
+constexpr std::array<std::string_view, 10> kKnownRules = {
     kRuleDeterminism,    kRuleWireBounds, kRuleRaiiSockets,
     kRuleHeaderHygiene,  kRuleHttpBlocking, kRuleAcceptanceSeam,
-    kRuleNoBlockingUnderLock, kRuleLockOrder, kRuleAnnotationCoverage};
+    kRuleNoBlockingUnderLock, kRuleLockOrder, kRuleAnnotationCoverage,
+    kRuleThreadsAlias};
 
 /// How far a suppression placed above a statement reaches: the statement
 /// runs from `start` (0-based index into `lines`) to the line where it
@@ -100,6 +101,7 @@ Directives parse_directives(std::string_view path, const Scrubbed& s,
 
 struct PathScope {
   bool in_src = false;
+  bool in_perfbench = false;  // the fixed benchmark: R10's one exemption
   bool in_dnswire = false;
   bool in_sockets = false;
   bool in_service = false;
@@ -118,6 +120,7 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 PathScope classify_path(std::string_view path) {
   PathScope scope;
   scope.in_src = starts_with(path, "src/");
+  scope.in_perfbench = starts_with(path, "perfbench/");
   scope.in_dnswire = starts_with(path, "src/dnswire/");
   scope.in_sockets = starts_with(path, "src/sockets/");
   scope.is_header = path.size() >= 2 && path.substr(path.size() - 2) == ".h";
@@ -338,6 +341,72 @@ void check_acceptance_seam(std::string_view path, const std::vector<std::string_
   }
 }
 
+/// Query execution has one seam too: AsyncQueryTransport::run(QueryBatch&),
+/// with QueryTransport carrying capabilities and telemetry only. A virtual
+/// on either interface that takes or returns one query (a Message or a
+/// QueryResult) would regrow the per-query execution face the batch seam
+/// replaced. One-at-a-time engines derive from SequentialTransport, whose
+/// protected query() stays behind run().
+void check_transport_interfaces(std::string_view path,
+                                const std::vector<std::string_view>& lines, Sink& sink) {
+  static const std::regex kInterfaceHead(
+      R"(\b(class|struct)\s+(QueryTransport|AsyncQueryTransport)\b[^;]*$)");
+  for (std::size_t head = 0; head < lines.size(); ++head) {
+    std::string text(lines[head]);
+    std::smatch m;
+    if (!std::regex_search(text, m, kInterfaceHead)) continue;
+    const std::string name = m[2].str();
+    long depth = 0;
+    bool opened = false;
+    for (std::size_t i = head; i < lines.size(); ++i) {
+      std::string_view line = lines[i];
+      if (opened && find_ident(line, "virtual") != std::string_view::npos) {
+        std::string statement;
+        const std::size_t end = statement_end(lines, i);
+        for (std::size_t j = i; j <= end; ++j) statement.append(lines[j]).push_back('\n');
+        if (find_ident(statement, "QueryResult") != std::string_view::npos ||
+            find_ident(statement, "Message") != std::string_view::npos)
+          add(sink, path, i + 1, kRuleAcceptanceSeam,
+              "single-query virtual on " + name +
+                  ": queries execute through AsyncQueryTransport::run(QueryBatch&); "
+                  "a one-at-a-time engine derives from SequentialTransport");
+      }
+      for (char c : line) {
+        if (c == '{') {
+          ++depth;
+          opened = true;
+        } else if (c == '}') {
+          --depth;
+        }
+      }
+      if (opened && depth <= 0) break;
+    }
+  }
+}
+
+// --------------------------------------------------------------- R10 -------
+
+/// MeasurementOptions::shards is the fleet's one parallelism knob. `threads`
+/// survives only as the alias perfbench/ (the fixed benchmark) compiles
+/// against; an assignment anywhere else regrows the second knob and blocks
+/// deleting the alias.
+void check_threads_alias(std::string_view path, const std::vector<std::string_view>& lines,
+                         Sink& sink) {
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    std::string_view line = lines[i];
+    for (std::size_t pos = find_ident(line, "threads"); pos != std::string_view::npos;
+         pos = find_ident(line, "threads", pos + 1)) {
+      if (!is_member_access(line, pos)) continue;
+      std::size_t next = skip_ws(line, pos + 7);
+      if (next < line.size() && line[next] == '=' &&
+          (next + 1 >= line.size() || line[next + 1] != '='))
+        add(sink, path, i + 1, kRuleThreadsAlias,
+            "MeasurementOptions::threads is the alias perfbench/ compiles against; "
+            "set `shards` (the one parallelism knob) instead");
+    }
+  }
+}
+
 // ---------------------------------------------------------------- R4 -------
 
 void check_header_hygiene(std::string_view path, const std::vector<std::string_view>& lines,
@@ -395,6 +464,8 @@ std::vector<Finding> lint_file(std::string_view path, std::string_view content,
     check_raii_sockets(path, lines, scope.in_sockets || scope.service_listener_seam, raw);
   if (scope.in_service && !scope.service_listener_seam) check_http_blocking(path, lines, raw);
   if (scope.in_src && !scope.exchange_seam) check_acceptance_seam(path, lines, scope, raw);
+  if (scope.in_src) check_transport_interfaces(path, lines, raw);
+  if (!scope.in_perfbench) check_threads_alias(path, lines, raw);
   if (scope.in_src && scope.is_header) check_header_hygiene(path, lines, raw);
   if (scope.in_src) {
     std::vector<Token> tokens = tokenize(s.code);
@@ -457,7 +528,6 @@ std::vector<std::string> discover_sources(const std::string& root,
   namespace fs = std::filesystem;
   std::vector<std::string> files;
   fs::path root_abs = fs::absolute(fs::path(root)).lexically_normal();
-  fs::path src = root_abs / "src";
 
   if (!compile_commands_path.empty()) {
     std::ifstream in(compile_commands_path, std::ios::binary);
@@ -479,12 +549,22 @@ std::vector<std::string> discover_sources(const std::string& root,
     }
   }
 
-  if (fs::exists(src)) {
-    for (const auto& entry : fs::recursive_directory_iterator(src)) {
-      if (!entry.is_regular_file()) continue;
-      std::string ext = entry.path().extension().string();
+  // src/ carries every rule; the other trees are walked for R10 only (their
+  // paths fail the src/ scoping of R1-R9). The lint fixture trees are
+  // linted as roots of their own, never as part of the repo.
+  for (const char* tree : {"src", "examples", "bench", "tests", "fuzz"}) {
+    const fs::path dir = root_abs / tree;
+    if (!fs::exists(dir)) continue;
+    for (auto it = fs::recursive_directory_iterator(dir); it != fs::recursive_directory_iterator();
+         ++it) {
+      if (it->is_directory() && it->path().filename() == "lint_fixtures") {
+        it.disable_recursion_pending();
+        continue;
+      }
+      if (!it->is_regular_file()) continue;
+      std::string ext = it->path().extension().string();
       if (ext == ".h" || ext == ".cc" || ext == ".cpp" || ext == ".hpp")
-        files.push_back(entry.path().lexically_normal().generic_string());
+        files.push_back(it->path().lexically_normal().generic_string());
     }
   }
 

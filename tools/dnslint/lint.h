@@ -32,7 +32,12 @@
 //                        rerandomize_query (except src/core/retry.*, which
 //                        defines it) or a local payload/bytes hash are
 //                        findings: transports must route answers through
-//                        core::run_exchange / ExchangeLedger.
+//                        core::run_exchange / ExchangeLedger. Likewise query
+//                        execution has one seam: a virtual that takes or
+//                        returns a single query (a Message or QueryResult)
+//                        declared on QueryTransport or AsyncQueryTransport
+//                        is a finding — queries go out through
+//                        AsyncQueryTransport::run(QueryBatch&).
 //
 // A second, scope-aware engine (scopes.h) tracks RAII lock-guard lifetimes
 // through nested scopes — lambdas, early returns, unlock()/lock(), moved
@@ -55,6 +60,15 @@
 //                        mutex as the netbase::Mutex capability wrapper, and
 //                        every field after a Mutex member carries
 //                        DNSLOCATE_GUARDED_BY (atomics/condvars exempt).
+//
+// One rule reaches beyond src/ (discover_sources also walks examples/,
+// bench/, tests/ and fuzz/ for it):
+//
+//   R10 threads-alias  — MeasurementOptions::shards is the fleet's one
+//                        parallelism knob; `threads` survives only as the
+//                        alias perfbench/ compiles against. Assigning
+//                        `.threads` / `->threads` anywhere outside
+//                        perfbench/ is a finding.
 //
 // Suppressions: `// dnslint: allow(<rule>): <reason>` on the offending line
 // or alone on the line above (where it covers the whole statement that
@@ -79,6 +93,7 @@ inline constexpr std::string_view kRuleAcceptanceSeam = "single-acceptance-seam"
 inline constexpr std::string_view kRuleNoBlockingUnderLock = "no-blocking-under-lock";
 inline constexpr std::string_view kRuleLockOrder = "lock-order";
 inline constexpr std::string_view kRuleAnnotationCoverage = "annotation-coverage";
+inline constexpr std::string_view kRuleThreadsAlias = "threads-alias";
 inline constexpr std::string_view kRuleBadSuppression = "bad-suppression";
 
 /// One diagnostic.
@@ -111,9 +126,10 @@ struct LockOrder {
 
 /// Lint one file's contents. `path` decides which rules apply (R2 only under
 /// src/dnswire/, R3 ownership outside src/sockets/, R4 for headers, R9 in
-/// the annotated subsystems) and must be relative to the repo root (forward
-/// slashes). The LockOrder overload feeds R8's declared-order check; the
-/// two-argument form runs R8 in cycle-detection-only mode.
+/// the annotated subsystems, R1-R9 only under src/, R10 everywhere but
+/// perfbench/) and must be relative to the repo root (forward slashes). The
+/// LockOrder overload feeds R8's declared-order check; the two-argument form
+/// runs R8 in cycle-detection-only mode.
 std::vector<Finding> lint_file(std::string_view path, std::string_view content);
 std::vector<Finding> lint_file(std::string_view path, std::string_view content,
                                const LockOrder& lock_order);
@@ -127,9 +143,11 @@ std::vector<Finding> lint_paths(const std::string& root,
                                 const std::vector<std::string>& files);
 
 /// Discover lintable sources: every *.cc listed in `compile_commands_path`
-/// (empty string = skip) that lives under root/src, plus every *.h / *.cc
-/// found by walking root/src (the walk catches headers, which never appear
-/// in a compilation database). Returns absolute paths, sorted, deduplicated.
+/// (empty string = skip) that lives under root/src, plus every *.h / *.cc /
+/// *.cpp found by walking root/src (the walk catches headers, which never
+/// appear in a compilation database) and, for R10, root/examples, bench,
+/// tests (minus the lint fixture trees) and fuzz. Returns absolute paths,
+/// sorted, deduplicated.
 std::vector<std::string> discover_sources(const std::string& root,
                                           const std::string& compile_commands_path);
 

@@ -4,7 +4,9 @@
 //           [--format=plain|github] [--json <path>] [file...]
 //
 // With no positional files, lints every source discovered under <root>/src
-// (compilation database entries plus a directory walk for headers).
+// (compilation database entries plus a directory walk for headers), plus
+// the examples/, bench/, tests/ and fuzz/ trees for the one rule that
+// reaches beyond src/ (threads-alias).
 //
 // --format=github emits GitHub Actions workflow annotations
 // (`::error file=...,line=...::`) so findings surface inline on the PR diff;

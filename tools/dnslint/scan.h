@@ -1,5 +1,6 @@
 // Shared lexical layer for dnslint's two engines: the line/token rules
-// (lint.cc, R1-R6) and the scope-aware lock analysis (scopes.cc, R7-R9).
+// (lint.cc, R1-R6 and R10) and the scope-aware lock analysis (scopes.cc,
+// R7-R9).
 //
 // scrub() blanks comment/string/char-literal bodies to spaces while
 // preserving length and line structure, so token scans can never be fooled
