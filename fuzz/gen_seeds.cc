@@ -1,6 +1,7 @@
 // Regenerates the checked-in seed corpora under fuzz/corpus/ from the same
 // vectors the unit tests exercise: valid queries/responses across every
-// RDATA type, truncations, compression-pointer pathologies, and journal
+// RDATA type, truncations, compression-pointer pathologies, envelopes that
+// are structurally sound but carry malformed typed RDATA, and journal
 // files that are intact, truncated mid-line, and bit-flipped.
 //
 //   gen_seeds <corpus-root>     # writes <root>/dnswire/* and <root>/journal/*
@@ -152,6 +153,43 @@ dnswire::WireBuffer adversary_spoofed_txt() {
   return dnswire::encode_message(m);
 }
 
+// --- structure sound, typed RDATA bad ------------------------------------
+// The view's walk accepts these envelopes; only decode_rdata rejects them.
+// The encoder cannot produce either shape, so the wire is hand-assembled.
+
+/// A response whose three answers each fail one typed check: an A record
+/// with RDLENGTH 3, a TXT record with no character-string, and a CNAME whose
+/// RDLENGTH (4) is one more than its target name's wire length (3).
+std::vector<std::uint8_t> typed_rdata_bad() {
+  std::vector<std::uint8_t> wire = {0x0b, 0xad, 0x81, 0x80, 0x00, 0x01,
+                                    0x00, 0x03, 0x00, 0x00, 0x00, 0x00};
+  const std::uint8_t question[] = {3, 'b', 'a', 'd', 7, 'e', 'x', 'a', 'm', 'p', 'l', 'e',
+                                   0, 0x00, 0x01, 0x00, 0x01};
+  wire.insert(wire.end(), std::begin(question), std::end(question));
+  // Owner: pointer to the question name; TTL 60 on each record.
+  auto answer = [&wire](std::uint8_t type, std::initializer_list<std::uint8_t> rdata) {
+    const std::uint8_t envelope[] = {0xc0, 0x0c, 0x00, type, 0x00, 0x01, 0x00, 0x00, 0x00, 60,
+                                     0x00, static_cast<std::uint8_t>(rdata.size())};
+    wire.insert(wire.end(), std::begin(envelope), std::end(envelope));
+    wire.insert(wire.end(), rdata.begin(), rdata.end());
+  };
+  answer(1, {192, 0, 2});      // A, RDLENGTH 3
+  answer(16, {});              // TXT, RDLENGTH 0
+  answer(5, {1, 'x', 0, 0});   // CNAME "x." plus one stray byte
+  return wire;
+}
+
+/// A plain answer with TC clear that echoes an OPT record — what the
+/// truncor DPI sets TC on in place, and what an EDNS-aware server returns.
+dnswire::WireBuffer response_tc_clear_with_opt() {
+  dnswire::Message m = query_mixed_case_edns();
+  m.flags.qr = true;
+  m.flags.ra = true;
+  m.answers.push_back(dnswire::make_a(m.questions.front().name,
+                                      netbase::Ipv4Address(192, 0, 2, 53)));
+  return dnswire::encode_message(m);
+}
+
 std::string journal_text() {
   atlas::JournalHeader header;
   header.fingerprint = 0x0123456789abcdefull;
@@ -215,6 +253,8 @@ int main(int argc, char** argv) {
               adversary_folded_stripped());
   write_bytes(root / "dnswire" / "adversary_tc_with_answers.bin", adversary_tc_with_answers());
   write_bytes(root / "dnswire" / "adversary_spoofed_txt.bin", adversary_spoofed_txt());
+  write_bytes(root / "dnswire" / "typed_rdata_bad.bin", typed_rdata_bad());
+  write_bytes(root / "dnswire" / "response_tc_clear_with_opt.bin", response_tc_clear_with_opt());
 
   // --- journal seeds -------------------------------------------------------
   std::string intact = journal_text();

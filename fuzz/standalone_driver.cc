@@ -14,17 +14,11 @@
 #include <string>
 #include <vector>
 
+#include "bitflip.h"
+
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size);
 
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 std::vector<std::uint8_t> read_file(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
@@ -57,18 +51,11 @@ int main(int argc, char** argv) {
     std::vector<std::uint8_t> bytes = read_file(path);
     LLVMFuzzerTestOneInput(bytes.data(), bytes.size());
     ++executed;
-    // Deterministic neighbourhood: flip 1-4 bits per round, seeded only by
-    // the input length and round index so runs are reproducible everywhere.
+    // Deterministic neighbourhood (bitflip.h), reproducible everywhere.
     for (long round = 0; round < mutations; ++round) {
-      std::vector<std::uint8_t> mutated = bytes;
-      if (mutated.empty()) break;
-      std::uint64_t state = 0x6a09e667f3bcc908ull ^ (mutated.size() * 0x10001u) ^
-                            static_cast<std::uint64_t>(round);
-      std::uint64_t flips = 1 + (splitmix64(state) & 3);
-      for (std::uint64_t f = 0; f < flips; ++f) {
-        std::uint64_t r = splitmix64(state);
-        mutated[r % mutated.size()] ^= static_cast<std::uint8_t>(1u << ((r >> 32) & 7));
-      }
+      if (bytes.empty()) break;
+      std::vector<std::uint8_t> mutated =
+          dnslocate::fuzzing::bitflip_mutant(bytes, static_cast<std::uint64_t>(round));
       LLVMFuzzerTestOneInput(mutated.data(), mutated.size());
       ++executed;
     }

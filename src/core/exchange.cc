@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "dnswire/decoder.h"
+#include "dnswire/view.h"
 #include "obs/span.h"
 
 namespace dnslocate::core {
@@ -161,8 +162,8 @@ QueryResult run_exchange(ExchangeChannel& channel, const dnswire::Message& messa
       if (inbound->kind == ExchangeChannel::Inbound::Kind::icmp_ttl_exceeded) {
         // The quoted datagram inside the error is our own query; confirm by
         // id before crediting the reporting router.
-        auto quoted = dnswire::decode_message(inbound->payload);
-        if (quoted && quoted->id == attempt_message.id && inbound->icmp_from)
+        auto quoted = dnswire::decode_view(inbound->payload);
+        if (quoted && quoted->id() == attempt_message.id && inbound->icmp_from)
           ledger.note_icmp(*inbound->icmp_from);
         continue;
       }

@@ -1,220 +1,8 @@
 #include "dnswire/decoder.h"
 
-#include <algorithm>
+#include "dnswire/view.h"
 
 namespace dnslocate::dnswire {
-namespace {
-
-class Reader {
- public:
-  Reader(std::span<const std::uint8_t> wire, DecodeError* error, std::size_t start = 0)
-      : wire_(wire), error_(error), offset_(start) {}
-
-  [[nodiscard]] std::size_t offset() const { return offset_; }
-  [[nodiscard]] std::size_t remaining() const { return wire_.size() - offset_; }
-
-  bool fail(DecodeError::Code code, std::string context) {
-    if (error_ && !failed_) *error_ = DecodeError{code, offset_, std::move(context)};
-    failed_ = true;
-    return false;
-  }
-  [[nodiscard]] bool failed() const { return failed_; }
-
-  bool u8(std::uint8_t& out) {
-    if (remaining() < 1) return fail(DecodeError::Code::truncated, "u8");
-    out = wire_[offset_++];
-    return true;
-  }
-  bool u16(std::uint16_t& out) {
-    if (remaining() < 2) return fail(DecodeError::Code::truncated, "u16");
-    out = static_cast<std::uint16_t>((std::uint16_t{wire_[offset_]} << 8) | wire_[offset_ + 1]);
-    offset_ += 2;
-    return true;
-  }
-  bool u32(std::uint32_t& out) {
-    std::uint16_t hi = 0, lo = 0;
-    if (!u16(hi) || !u16(lo)) return false;
-    out = (std::uint32_t{hi} << 16) | lo;
-    return true;
-  }
-  bool bytes(std::size_t n, std::span<const std::uint8_t>& out) {
-    if (remaining() < n) return fail(DecodeError::Code::truncated, "bytes");
-    out = wire_.subspan(offset_, n);
-    offset_ += n;
-    return true;
-  }
-
-  /// Decode a (possibly compressed) name starting at the current offset.
-  bool name(DnsName& out) {
-    std::vector<std::string> labels;
-    std::size_t cursor = offset_;
-    bool jumped = false;
-    std::size_t jumps = 0;
-    std::size_t expanded = 1;  // root byte
-
-    while (true) {
-      if (cursor >= wire_.size()) return fail(DecodeError::Code::truncated, "name");
-      std::uint8_t len = wire_[cursor];
-      if ((len & 0xc0) == 0xc0) {
-        if (cursor + 1 >= wire_.size())
-          return fail(DecodeError::Code::truncated, "name pointer");
-        std::size_t target =
-            (static_cast<std::size_t>(len & 0x3f) << 8) | wire_[cursor + 1];
-        if (!jumped) offset_ = cursor + 2;
-        // Pointers must point strictly backwards; this also bounds the number
-        // of jumps, but cap them anyway for defence in depth.
-        if (target >= cursor) return fail(DecodeError::Code::bad_pointer, "forward pointer");
-        if (++jumps > 64) return fail(DecodeError::Code::bad_pointer, "pointer loop");
-        cursor = target;
-        jumped = true;
-        continue;
-      }
-      if ((len & 0xc0) != 0) return fail(DecodeError::Code::bad_label, "reserved label bits");
-      if (len == 0) {
-        if (!jumped) offset_ = cursor + 1;
-        break;
-      }
-      if (cursor + 1 + len > wire_.size())
-        return fail(DecodeError::Code::truncated, "label body");
-      expanded += 1u + len;
-      if (expanded > kMaxNameLength)
-        return fail(DecodeError::Code::name_too_long, "name > 255 octets");
-      auto body = wire_.subspan(cursor + 1, len);
-      labels.emplace_back(body.begin(), body.end());
-      cursor += 1u + len;
-    }
-
-    auto parsed = DnsName::from_labels(std::move(labels));
-    if (!parsed) return fail(DecodeError::Code::name_too_long, "invalid labels");
-    out = std::move(*parsed);
-    return true;
-  }
-
- private:
-  std::span<const std::uint8_t> wire_;
-  DecodeError* error_;
-  std::size_t offset_ = 0;
-  bool failed_ = false;
-};
-
-bool decode_rdata(Reader& r, RecordType type, std::uint16_t rdlength, Rdata& out) {
-  std::size_t end = r.offset() + rdlength;
-  switch (type) {
-    case RecordType::A: {
-      if (rdlength != 4) return r.fail(DecodeError::Code::bad_rdata, "A rdlength != 4");
-      std::span<const std::uint8_t> b;
-      if (!r.bytes(4, b)) return false;
-      out = ARecord{netbase::Ipv4Address(b[0], b[1], b[2], b[3])};
-      return true;
-    }
-    case RecordType::AAAA: {
-      if (rdlength != 16) return r.fail(DecodeError::Code::bad_rdata, "AAAA rdlength != 16");
-      std::span<const std::uint8_t> b;
-      if (!r.bytes(16, b)) return false;
-      netbase::Ipv6Address::Bytes bytes{};
-      std::copy(b.begin(), b.end(), bytes.begin());
-      out = AaaaRecord{netbase::Ipv6Address(bytes)};
-      return true;
-    }
-    case RecordType::TXT: {
-      TxtRecord txt;
-      while (r.offset() < end) {
-        std::uint8_t len = 0;
-        if (!r.u8(len)) return false;
-        if (r.offset() + len > end)
-          return r.fail(DecodeError::Code::bad_rdata, "TXT string overruns rdata");
-        std::span<const std::uint8_t> b;
-        if (!r.bytes(len, b)) return false;
-        txt.strings.emplace_back(b.begin(), b.end());
-      }
-      // RFC 1035 requires at least one character-string.
-      if (txt.strings.empty())
-        return r.fail(DecodeError::Code::bad_rdata, "empty TXT rdata");
-      out = std::move(txt);
-      return true;
-    }
-    case RecordType::CNAME:
-    case RecordType::NS:
-    case RecordType::PTR: {
-      DnsName name;
-      if (!r.name(name)) return false;
-      if (r.offset() != end)
-        return r.fail(DecodeError::Code::bad_rdata, "name rdata length mismatch");
-      if (type == RecordType::CNAME)
-        out = CnameRecord{std::move(name)};
-      else if (type == RecordType::NS)
-        out = NsRecord{std::move(name)};
-      else
-        out = PtrRecord{std::move(name)};
-      return true;
-    }
-    case RecordType::MX: {
-      MxRecord mx;
-      if (!r.u16(mx.preference) || !r.name(mx.exchange)) return false;
-      if (r.offset() != end)
-        return r.fail(DecodeError::Code::bad_rdata, "MX rdata length mismatch");
-      out = std::move(mx);
-      return true;
-    }
-    case RecordType::SRV: {
-      SrvRecord srv;
-      if (!r.u16(srv.priority) || !r.u16(srv.weight) || !r.u16(srv.port) ||
-          !r.name(srv.target))
-        return false;
-      if (r.offset() != end)
-        return r.fail(DecodeError::Code::bad_rdata, "SRV rdata length mismatch");
-      out = std::move(srv);
-      return true;
-    }
-    case RecordType::SOA: {
-      SoaRecord soa;
-      if (!r.name(soa.mname) || !r.name(soa.rname)) return false;
-      if (!r.u32(soa.serial) || !r.u32(soa.refresh) || !r.u32(soa.retry) ||
-          !r.u32(soa.expire) || !r.u32(soa.minimum))
-        return false;
-      if (r.offset() != end)
-        return r.fail(DecodeError::Code::bad_rdata, "SOA rdata length mismatch");
-      out = std::move(soa);
-      return true;
-    }
-    case RecordType::OPT: {
-      OptRecord opt;
-      std::span<const std::uint8_t> b;
-      if (!r.bytes(rdlength, b)) return false;
-      opt.options.assign(b.begin(), b.end());
-      out = std::move(opt);
-      return true;
-    }
-    default: {
-      RawRecord raw;
-      std::span<const std::uint8_t> b;
-      if (!r.bytes(rdlength, b)) return false;
-      raw.data.assign(b.begin(), b.end());
-      out = std::move(raw);
-      return true;
-    }
-  }
-}
-
-bool decode_record(Reader& r, ResourceRecord& rr) {
-  if (!r.name(rr.name)) return false;
-  std::uint16_t type = 0, klass = 0, rdlength = 0;
-  std::uint32_t ttl = 0;
-  if (!r.u16(type) || !r.u16(klass) || !r.u32(ttl) || !r.u16(rdlength)) return false;
-  rr.type = static_cast<RecordType>(type);
-  rr.ttl = ttl;
-  if (!decode_rdata(r, rr.type, rdlength, rr.rdata)) return false;
-  if (rr.type == RecordType::OPT) {
-    // CLASS field of OPT is the advertised UDP payload size.
-    rr.klass = RecordClass::IN;
-    if (auto* opt = std::get_if<OptRecord>(&rr.rdata)) opt->udp_payload_size = klass;
-  } else {
-    rr.klass = static_cast<RecordClass>(klass);
-  }
-  return true;
-}
-
-}  // namespace
 
 std::string DecodeError::to_string() const {
   static constexpr std::string_view names[] = {"truncated",     "bad_pointer",
@@ -228,68 +16,9 @@ std::string DecodeError::to_string() const {
 
 std::optional<Message> decode_message(std::span<const std::uint8_t> wire, DecodeError* error,
                                       DecodeOptions options) {
-  Reader r(wire, error);
-  Message m;
-  std::uint16_t flags_wire = 0, qdcount = 0, ancount = 0, nscount = 0, arcount = 0;
-  if (!r.u16(m.id) || !r.u16(flags_wire) || !r.u16(qdcount) || !r.u16(ancount) ||
-      !r.u16(nscount) || !r.u16(arcount))
-    return std::nullopt;
-  m.flags = Flags::from_wire(flags_wire);
-
-  for (std::uint16_t i = 0; i < qdcount; ++i) {
-    Question q;
-    std::uint16_t type = 0, klass = 0;
-    if (!r.name(q.name) || !r.u16(type) || !r.u16(klass)) return std::nullopt;
-    q.type = static_cast<RecordType>(type);
-    q.klass = static_cast<RecordClass>(klass);
-    m.questions.push_back(std::move(q));
-  }
-  auto section = [&](std::uint16_t count, RecordSection& out) {
-    for (std::uint16_t i = 0; i < count; ++i) {
-      ResourceRecord rr;
-      if (!decode_record(r, rr)) return false;
-      out.push_back(std::move(rr));
-    }
-    return true;
-  };
-  if (!section(ancount, m.answers) || !section(nscount, m.authorities) ||
-      !section(arcount, m.additionals))
-    return std::nullopt;
-
-  if (options.reject_trailing_bytes && r.remaining() > 0) {
-    r.fail(DecodeError::Code::trailing_bytes,
-           std::to_string(r.remaining()) + " bytes after message");
-    return std::nullopt;
-  }
-  return m;
+  std::optional<MessageView> view = decode_view(wire, error, options);
+  if (!view) return std::nullopt;
+  return view->to_message(error);
 }
-
-namespace detail {
-
-std::optional<DnsName> decode_name_at(std::span<const std::uint8_t> wire, std::size_t offset,
-                                      DecodeError* error) {
-  if (offset > wire.size()) {
-    if (error) *error = DecodeError{DecodeError::Code::truncated, offset, "name offset"};
-    return std::nullopt;
-  }
-  Reader r(wire, error, offset);
-  DnsName name;
-  if (!r.name(name)) return std::nullopt;
-  return name;
-}
-
-std::optional<ResourceRecord> decode_record_at(std::span<const std::uint8_t> wire,
-                                               std::size_t offset, DecodeError* error) {
-  if (offset > wire.size()) {
-    if (error) *error = DecodeError{DecodeError::Code::truncated, offset, "record offset"};
-    return std::nullopt;
-  }
-  Reader r(wire, error, offset);
-  ResourceRecord rr;
-  if (!decode_record(r, rr)) return std::nullopt;
-  return rr;
-}
-
-}  // namespace detail
 
 }  // namespace dnslocate::dnswire

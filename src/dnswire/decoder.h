@@ -1,5 +1,9 @@
 // Wire-format decoding with full bounds checking and compression-pointer
 // loop protection. Malformed input never throws; it yields a DecodeError.
+//
+// There is one parser. decode_message is decode_view (view.h), whose walk is
+// the only structural validator, followed by MessageView::to_message, which
+// applies the typed RDATA checks while it materializes each record.
 #pragma once
 
 #include <cstdint>
@@ -35,27 +39,12 @@ struct DecodeOptions {
   bool reject_trailing_bytes = false;
 };
 
-/// Decode a full message. Returns nullopt and fills `error` (if non-null)
-/// on malformed input.
+/// Decode a full message: decode_view(wire, error, options) then
+/// to_message(error). Returns nullopt and fills `error` (if non-null) with
+/// the first failure on malformed input: a structural error from the walk
+/// wins over a typed RDATA error in an earlier record.
 std::optional<Message> decode_message(std::span<const std::uint8_t> wire,
                                       DecodeError* error = nullptr,
                                       DecodeOptions options = {});
-
-namespace detail {
-
-/// Decode a (possibly compressed) name starting at `offset` within `wire`.
-/// Compression pointers resolve against the whole buffer, which is why the
-/// full message span is required. Used by the zero-copy view (view.h) to
-/// materialize names lazily with exactly the decoder's validation.
-std::optional<DnsName> decode_name_at(std::span<const std::uint8_t> wire, std::size_t offset,
-                                      DecodeError* error = nullptr);
-
-/// Decode one resource record starting at `offset` within `wire`, applying
-/// the same typed RDATA validation decode_message performs.
-std::optional<ResourceRecord> decode_record_at(std::span<const std::uint8_t> wire,
-                                               std::size_t offset,
-                                               DecodeError* error = nullptr);
-
-}  // namespace detail
 
 }  // namespace dnslocate::dnswire

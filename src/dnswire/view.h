@@ -1,10 +1,12 @@
 // Zero-copy decode view over a wire-format message. decode_view() walks the
 // buffer once, validating structure (bounds, compression-pointer discipline,
 // name length) without materializing names, strings, or rdata — no allocation
-// happens until a caller asks for an owning value. The UDP engine uses this as
-// a cheap demux prefilter: most inbound datagrams only need the id, the QR
-// bit, and the first question to find their owner; full decoding happens once,
-// on the matched query's thread.
+// happens until a caller asks for an owning value. This walk is the library's
+// only structural validator: decode_message() is decode_view() followed by
+// to_message(). The UDP engine uses the view as a cheap demux prefilter: most
+// inbound datagrams only need the id, the QR bit, and the first question to
+// find their owner; full decoding happens once, on the matched query's
+// thread.
 //
 // A view BORROWS the buffer it was decoded from. It is valid only while those
 // bytes outlive it; copying a view copies the borrow, not the bytes.
@@ -24,10 +26,10 @@ namespace dnslocate::dnswire {
 class MessageView;
 
 /// Walk `wire` and locate every section entry, validating structure without
-/// materializing anything. Fails on exactly the structural errors the owning
-/// decoder reports (truncation, bad pointers, reserved label bits, names over
-/// 255 octets, RDLENGTH past the buffer); typed RDATA errors are deferred to
-/// RecordView::to_record(). The returned view borrows `wire`.
+/// materializing anything: truncation, bad pointers, reserved label bits,
+/// names over 255 octets, RDLENGTH past the buffer, and (strict mode)
+/// trailing bytes. Typed RDATA errors are left to RecordView::to_record().
+/// The returned view borrows `wire`.
 std::optional<MessageView> decode_view(std::span<const std::uint8_t> wire,
                                        DecodeError* error = nullptr,
                                        DecodeOptions options = {});
@@ -53,6 +55,7 @@ class QuestionView {
                                                 DecodeOptions);
   std::span<const std::uint8_t> wire_;
   std::size_t name_offset_ = 0;
+  std::uint8_t name_labels_ = 0;  // counted by the walk; sizes the copy
   RecordType type_ = RecordType::A;
   RecordClass klass_ = RecordClass::IN;
 };
@@ -60,7 +63,7 @@ class QuestionView {
 /// A resource record located in the wire buffer. The structural walk has
 /// verified the envelope (name, fixed fields, RDLENGTH bounds); typed RDATA
 /// strictness — A rdlength == 4, non-empty TXT, name-rdata length agreement —
-/// is checked by to_record(), exactly as the owning decoder would.
+/// is checked by to_record(), the library's one typed RDATA check.
 class RecordView {
  public:
   [[nodiscard]] RecordType type() const { return type_; }
@@ -77,8 +80,8 @@ class RecordView {
   /// Materialize the owner name. Allocates.
   [[nodiscard]] std::optional<DnsName> name() const;
 
-  /// Owning equivalent of this record, applying the typed RDATA validation
-  /// the full decoder performs. Returns nullopt (and fills `error`) when the
+  /// Owning equivalent of this record: the walk's TYPE, CLASS, TTL and
+  /// RDLENGTH plus typed RDATA. Returns nullopt (and fills `error`) when the
   /// RDATA is malformed for the record type.
   [[nodiscard]] std::optional<ResourceRecord> to_record(DecodeError* error = nullptr) const;
 
@@ -86,12 +89,16 @@ class RecordView {
   friend class MessageView;
   friend std::optional<MessageView> decode_view(std::span<const std::uint8_t>, DecodeError*,
                                                 DecodeOptions);
+  /// to_record() into `out`, which to_message() emplaces in its section.
+  bool materialize(ResourceRecord& out, DecodeError* error) const;
+
   std::span<const std::uint8_t> wire_;
   std::size_t name_offset_ = 0;
   std::size_t rdata_offset_ = 0;
   std::uint16_t rdata_length_ = 0;
   RecordType type_ = RecordType::A;
   std::uint16_t raw_klass_ = 0;
+  std::uint8_t name_labels_ = 0;  // counted by the walk; sizes the copy
   std::uint32_t ttl_ = 0;
 };
 
@@ -120,8 +127,8 @@ class MessageView {
   /// Bytes past the last section (padding middleboxes append).
   [[nodiscard]] std::size_t trailing_bytes() const { return trailing_; }
 
-  /// Fully materialize. Equivalent to decode_message() on the same bytes:
-  /// succeeds iff every record's typed RDATA validates.
+  /// Fully materialize; decode_message() is decode_view() plus this. Succeeds
+  /// iff every record's typed RDATA validates.
   [[nodiscard]] std::optional<Message> to_message(DecodeError* error = nullptr) const;
 
  private:

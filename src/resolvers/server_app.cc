@@ -15,13 +15,16 @@ std::size_t DnsServerApp::udp_payload_limit(const dnswire::Message& query) {
   return 512;
 }
 
-bool DnsServerApp::truncate_to_fit(dnswire::Message& response, std::size_t limit) {
-  if (dnswire::encode_message(response).size() <= limit) return false;
+bool DnsServerApp::encode_to_fit(dnswire::Message& response, std::size_t limit,
+                                 dnswire::WireBuffer& wire) {
+  wire = dnswire::encode_message(response);
+  if (wire.size() <= limit) return false;
   // RFC 2181 §9: set TC and let the client retry over TCP (not modelled);
   // conservative servers strip the answer sections entirely.
   response.answers.clear();
   response.authorities.clear();
   response.flags.tc = true;
+  wire = dnswire::encode_message(response);
   return true;
 }
 
@@ -64,18 +67,17 @@ void DnsServerApp::on_datagram(simnet::Simulator& sim, simnet::Device& self,
       response->additionals.push_back(std::move(opt));
     }
   }
-  // DoT is stream-based; size limits apply to plain UDP only.
-  if (packet.channel == simnet::Channel::udp &&
-      truncate_to_fit(*response, udp_payload_limit(*query)))
-    ++truncated_;
-
   simnet::UdpPacket reply;
   reply.src = packet.dst;  // answer from the address the client targeted
   reply.dst = packet.src;
   reply.sport = packet.dport;
   reply.dport = packet.sport;
   reply.channel = packet.channel;
-  reply.payload = dnswire::encode_message(*response);
+  // DoT is stream-based; size limits apply to plain UDP only.
+  if (packet.channel != simnet::Channel::udp)
+    reply.payload = dnswire::encode_message(*response);
+  else if (encode_to_fit(*response, udp_payload_limit(*query), reply.payload))
+    ++truncated_;
   reply.trace_id = packet.trace_id;
   ++responses_sent_;
 

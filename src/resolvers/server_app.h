@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 
+#include "dnswire/encoder.h"
 #include "dnswire/message.h"
 #include "netbase/ip_address.h"
 #include "simnet/device.h"
@@ -40,9 +41,11 @@ class DnsServerApp : public simnet::UdpApp {
   /// Size limit for a query: the OPT payload size, clamped to >= 512.
   static std::size_t udp_payload_limit(const dnswire::Message& query);
 
-  /// Apply RFC 2181 §9 truncation if `response` exceeds `limit` when
-  /// encoded. Returns true if truncation happened.
-  static bool truncate_to_fit(dnswire::Message& response, std::size_t limit);
+  /// Encode `response` into `wire`. If the encoding exceeds `limit`, apply
+  /// RFC 2181 §9 truncation to `response` and re-encode. Returns true if
+  /// truncation happened.
+  static bool encode_to_fit(dnswire::Message& response, std::size_t limit,
+                            dnswire::WireBuffer& wire);
 
   void on_datagram(simnet::Simulator& sim, simnet::Device& self,
                    const simnet::UdpPacket& packet) override;

@@ -6,11 +6,16 @@
 #include "dnswire/encoder.h"
 #include "dnswire/message.h"
 #include "dnswire/record.h"
+#include "dnswire/view.h"
 #include "netbase/endpoint.h"
 #include "simnet/simulator.h"
 
 namespace dnslocate::simnet {
 namespace {
+
+/// The header flags word starts at octet 2; TC is bit 0x0200 of it.
+constexpr std::size_t kFlagsHighByte = 2;
+constexpr std::uint8_t kTcBit = 0x02;
 
 /// Craft the forged answer for an observed query: a wrong address for
 /// A/AAAA, a wrong display string for TXT (any class — location queries and
@@ -168,13 +173,14 @@ HookVerdict DpiHook::prerouting(Simulator&, Device&, UdpPacket& packet, std::opt
   }
 
   if (packet.sport == netbase::kDnsPort && personality_.rewrite_tc) {
-    auto response = dnswire::decode_message(packet.payload);
+    // TC is one header bit, so it is set in place: the response only has to
+    // walk (decode_view), not materialize.
+    auto response = dnswire::decode_view(packet.payload);
     if (!response || !response->is_response()) return HookVerdict::accept;  // fail open
-    if (!response->flags.tc) {
+    if (!response->flags().tc) {
       // Set TC while leaving the answers intact: a self-contradictory
       // message no real server emits — the fingerprint probe's signal.
-      response->flags.tc = true;
-      packet.payload = dnswire::encode_message(*response);
+      packet.payload[kFlagsHighByte] |= kTcBit;
       ++responses_mutated_;
     }
     return HookVerdict::accept;

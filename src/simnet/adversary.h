@@ -112,8 +112,11 @@ DpiPersonality dpi_truncor();   // rewrite_tc
 DpiPersonality dpi_omnibox();   // all three
 
 /// Applies a DpiPersonality to port-53 traffic crossing the hosting device.
-/// Re-encodes mutated payloads; packets that fail to decode pass through
-/// untouched (real DPI fails open on unparsable traffic).
+/// Query edits (case folding, EDNS stripping) decode and re-encode the
+/// query; the TC rewrite sets the header bit in place on any response whose
+/// structure walks (decode_view), so a response with sound structure but
+/// malformed typed RDATA also gets TC. Packets that fail to parse pass
+/// through untouched (real DPI fails open on unparsable traffic).
 class DpiHook : public PacketHook {
  public:
   explicit DpiHook(DpiPersonality personality);

@@ -85,9 +85,9 @@ void LoopbackDnsServer::serve_udp_datagram() {
   auto response = responder_->respond(*query, context);
   if (!response) return;
   // UDP answers obey the advertised payload limit.
-  resolvers::DnsServerApp::truncate_to_fit(
-      *response, resolvers::DnsServerApp::udp_payload_limit(*query));
-  dnswire::WireBuffer wire = dnswire::encode_message(*response);
+  dnswire::WireBuffer wire;
+  resolvers::DnsServerApp::encode_to_fit(
+      *response, resolvers::DnsServerApp::udp_payload_limit(*query), wire);
   if (response_delay_.count() > 0) {
     // Hold the answer in the deferred queue; the serve loop flushes it when
     // due, so other clients' queries keep being ingested in the meantime.

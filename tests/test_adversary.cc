@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 
 #include "atlas/fleet.h"
 #include "atlas/measurement.h"
@@ -11,7 +13,12 @@
 #include "core/describe.h"
 #include "core/fingerprint.h"
 #include "scenario_corpus.h"
+#include "bitflip.h"
+#include "dnswire/decoder.h"
+#include "dnswire/encoder.h"
+#include "dnswire/view.h"
 #include "simnet/adversary.h"
+#include "simnet/simulator.h"
 
 namespace dnslocate::core {
 namespace {
@@ -304,6 +311,134 @@ TEST(AdversaryCorpus, DescribeRendersContestedEvidence) {
   EXPECT_NE(text.find("contested"), std::string::npos);
   EXPECT_NE(text.find("arbitration:"), std::string::npos);
   EXPECT_NE(text.find("conflicts="), std::string::npos);
+}
+
+// --- the TC rewrite edits bytes in place ----------------------------------
+// DpiHook sets TC straight in the header of any response whose structure
+// walks. Before, it decoded the response, set TC and re-encoded it; these
+// tests pin that the in-place result decodes to that same Message, over
+// the wire corpus (each seed plus its bit-flip neighbourhood) and over every
+// response the truncor and omnibox scenarios put through the hook.
+
+/// Check one in-place rewrite of `before` into `after`. Returns whether
+/// `before` is canonical encoder output, where the old re-encoding form is
+/// compared too.
+bool expect_tc_edit_matches_reencode(std::span<const std::uint8_t> before,
+                                     std::span<const std::uint8_t> after,
+                                     const std::string& label) {
+  // In place: at most the TC bit changes, and only on a response that walks.
+  std::vector<std::uint8_t> expected_bytes(before.begin(), before.end());
+  auto view = dnswire::decode_view(before);
+  if (view && view->is_response()) expected_bytes[2] |= 0x02;
+  EXPECT_TRUE(std::equal(after.begin(), after.end(), expected_bytes.begin(),
+                         expected_bytes.end()))
+      << label;
+
+  // Decode, set TC: the Message the rewrite means. A response that walks but
+  // fails typed RDATA now gets TC where the old form failed open; nothing
+  // the simulator emits has that shape.
+  auto expected = dnswire::decode_message(before);
+  auto decoded = dnswire::decode_message(after);
+  EXPECT_EQ(decoded.has_value(), expected.has_value()) << label;
+  if (!expected || !decoded) return false;
+  if (expected->is_response()) expected->flags.tc = true;
+  EXPECT_EQ(*decoded, *expected) << label;
+
+  // ... then encode, as the old form did. Re-encoding compresses names
+  // case-insensitively, so it only reproduces canonical encoder output
+  // (everything the simulator emits); the in-place edit keeps every byte.
+  dnswire::WireBuffer canonical = dnswire::encode_message(*dnswire::decode_message(before));
+  if (!std::equal(before.begin(), before.end(), canonical.begin(), canonical.end()))
+    return false;
+  auto reencoded = dnswire::decode_message(dnswire::encode_message(*expected));
+  EXPECT_TRUE(reencoded.has_value() && *reencoded == *decoded) << label;
+  return true;
+}
+
+TEST(Dpi, InPlaceTcMatchesReencodeOverWireCorpus) {
+  simnet::Simulator sim;
+  simnet::Device& device = sim.add_device<simnet::Device>("dpi");
+  simnet::DpiHook hook(simnet::dpi_truncor());
+  std::vector<std::filesystem::path> seeds;
+  for (const auto& entry : std::filesystem::directory_iterator(DNSLOCATE_WIRE_CORPUS))
+    seeds.push_back(entry.path());
+  std::sort(seeds.begin(), seeds.end());
+  ASSERT_FALSE(seeds.empty());
+
+  std::size_t canonical_inputs = 0;
+  for (const auto& path : seeds) {
+    std::ifstream in(path, std::ios::binary);
+    std::vector<std::uint8_t> seed{std::istreambuf_iterator<char>(in),
+                                   std::istreambuf_iterator<char>()};
+    for (std::uint64_t round = 0; round <= 256 && !seed.empty(); ++round) {
+      std::vector<std::uint8_t> before =
+          round == 0 ? seed : fuzzing::bitflip_mutant(seed, round - 1);
+      simnet::UdpPacket packet;
+      packet.sport = netbase::kDnsPort;
+      packet.dport = 40000;
+      packet.payload.assign(before.begin(), before.end());
+      hook.prerouting(sim, device, packet, std::nullopt);
+      if (expect_tc_edit_matches_reencode(
+              before, packet.payload,
+              path.filename().string() + " round " + std::to_string(round)))
+        ++canonical_inputs;
+    }
+  }
+  EXPECT_GT(canonical_inputs, 0u);
+  EXPECT_GT(hook.responses_mutated(), 0u);
+}
+
+/// Runs a real DpiHook and checks every response it handles against the
+/// re-encoding form.
+class TcDifferentialHook : public simnet::PacketHook {
+ public:
+  explicit TcDifferentialHook(simnet::DpiPersonality personality)
+      : dpi_(std::move(personality)) {}
+
+  simnet::HookVerdict prerouting(simnet::Simulator& sim, simnet::Device& device,
+                                 simnet::UdpPacket& packet,
+                                 std::optional<simnet::PortId> in_port) override {
+    bool response = packet.kind == simnet::PacketKind::udp &&
+                    packet.channel == simnet::Channel::udp &&
+                    packet.sport == netbase::kDnsPort;
+    std::vector<std::uint8_t> before;
+    if (response) before.assign(packet.payload.begin(), packet.payload.end());
+    simnet::HookVerdict verdict = dpi_.prerouting(sim, device, packet, in_port);
+    if (response) {
+      EXPECT_TRUE(expect_tc_edit_matches_reencode(before, packet.payload,
+                                                  "response " + std::to_string(compared_)))
+          << "the simulator emitted a non-canonical response";
+      ++compared_;
+    }
+    return verdict;
+  }
+
+  [[nodiscard]] const simnet::DpiHook& dpi() const { return dpi_; }
+  [[nodiscard]] std::size_t compared() const { return compared_; }
+
+ private:
+  simnet::DpiHook dpi_;
+  std::size_t compared_ = 0;
+};
+
+TEST(Dpi, InPlaceTcMatchesReencodeInTruncorAndOmniboxScenarios) {
+  for (bool on_cpe : {false, true}) {
+    atlas::ScenarioConfig config = clean_config();
+    config.run_fingerprint = true;
+    atlas::Scenario scenario(config);
+    auto hook = std::make_shared<TcDifferentialHook>(on_cpe ? simnet::dpi_omnibox()
+                                                            : simnet::dpi_truncor());
+    if (on_cpe)
+      scenario.cpe_handles().device->add_hook(hook);
+    else
+      scenario.isp_handles().access->add_hook(hook);
+    ProbeVerdict verdict = run_pipeline(scenario);
+
+    EXPECT_GT(hook->compared(), 0u) << (on_cpe ? "omnibox" : "truncor");
+    EXPECT_GT(hook->dpi().responses_mutated(), 0u) << (on_cpe ? "omnibox" : "truncor");
+    ASSERT_TRUE(verdict.fingerprint.has_value());
+    EXPECT_TRUE(verdict.fingerprint->tc_rewritten);
+  }
 }
 
 }  // namespace

@@ -126,6 +126,21 @@ TEST(DecoderHardening, OverlongWireNameRejected) {
   EXPECT_EQ(error.code, DecodeError::Code::name_too_long);
 }
 
+TEST(DecoderHardening, WireNameOneOctetOverTheLimitRejected) {
+  // Three 63-char labels and one of 62: 3*64 + 63 + root = 256 octets, one
+  // past kMaxNameLength; the 255-octet case above must still decode.
+  std::vector<std::uint8_t> wire = header(1, 0);
+  for (int length : {63, 63, 63, 62}) {
+    wire.push_back(static_cast<std::uint8_t>(length));
+    for (int j = 0; j < length; ++j) wire.push_back('x');
+  }
+  wire.push_back(0);
+  append(wire, {0, 1, 0, 1});
+  DecodeError error;
+  EXPECT_FALSE(decode_message(wire, &error).has_value());
+  EXPECT_EQ(error.code, DecodeError::Code::name_too_long);
+}
+
 TEST(DecoderHardening, PointerIntoLabelMiddleIsHandled) {
   // A pointer targeting the middle of a label reinterprets bytes as a
   // length; this must either decode (harmlessly) or fail cleanly.

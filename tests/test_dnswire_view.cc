@@ -5,18 +5,29 @@
 // view validates structure only (bounds, pointer discipline, name length)
 // and defers typed RDATA strictness to to_record(), so a structurally sound
 // message with a malformed A rdlength passes decode_view but fails
-// to_message — exactly like decode_message fails it.
+// to_message — exactly like decode_message fails it. decode_message is now
+// built from the view, so the golden below is the independent reference.
 //
 // The corpus is fuzz/corpus/dnswire/*.bin (the curated seeds the fuzzer
 // mutates) plus a seeded sweep of encoder-produced messages, compressed and
 // not, with trailing padding — several hundred inputs per run, all
 // deterministic.
+//
+// tests/golden/dnswire_outcomes.txt pins what the decoder makes of each
+// seed's bit-flip neighbourhood (fuzz/bitflip.h): how many mutants walk
+// cleanly, how many decode, lax and strict, and a digest of their canonical
+// re-encodings.
+// Regeneration (deliberate decoder changes only):
+//   DNSLOCATE_UPDATE_GOLDEN=1 ./build/tests/test_dnswire_view
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <span>
 #include <string>
 #include <vector>
@@ -25,6 +36,7 @@
 #include "dnswire/encoder.h"
 #include "dnswire/message.h"
 #include "dnswire/view.h"
+#include "bitflip.h"
 
 namespace dnslocate::dnswire {
 namespace {
@@ -177,6 +189,59 @@ TEST(DnswireView, AgreesWithOwningDecoderOverEncodedSweep) {
   }
 }
 
+/// One golden line: the seed, then over the seed and its first 256 mutants
+/// how many decode_view walks cleanly, how many decode_message accepts (lax
+/// and strict), and an FNV-1a digest of every accepted input's canonical
+/// re-encoding.
+std::string outcome_line(const std::filesystem::path& seed) {
+  constexpr std::uint64_t kMutants = 256;
+  std::vector<std::uint8_t> bytes = read_file(seed);
+  std::size_t inputs = 0, walked = 0, accepted = 0, strict_accepted = 0;
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  auto mix = [&digest](std::uint8_t byte) { digest = (digest ^ byte) * 0x100000001b3ull; };
+  for (std::uint64_t round = 0; round <= kMutants && (round == 0 || !bytes.empty()); ++round) {
+    std::vector<std::uint8_t> input =
+        round == 0 ? bytes : fuzzing::bitflip_mutant(bytes, round - 1);
+    ++inputs;
+    if (decode_view(input)) ++walked;
+    if (decode_message(input, nullptr, {.reject_trailing_bytes = true})) ++strict_accepted;
+    auto decoded = decode_message(input);
+    if (!decoded) continue;
+    ++accepted;
+    WireBuffer canonical = encode_message(*decoded);
+    mix(static_cast<std::uint8_t>(canonical.size() >> 8));
+    mix(static_cast<std::uint8_t>(canonical.size()));
+    for (std::uint8_t byte : canonical) mix(byte);
+  }
+  char line[256];
+  std::snprintf(line, sizeof line,
+                "%s inputs=%zu walked=%zu accepted=%zu strict=%zu digest=%016llx\n",
+                seed.filename().string().c_str(), inputs, walked, accepted, strict_accepted,
+                static_cast<unsigned long long>(digest));
+  return line;
+}
+
+TEST(DnswireView, CorpusOutcomesMatchRecordedGolden) {
+  std::string live;
+  for (const auto& path : corpus_files()) live += outcome_line(path);
+  ASSERT_FALSE(live.empty()) << "no corpus at " DNSLOCATE_WIRE_CORPUS;
+  if (std::getenv("DNSLOCATE_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream file(DNSLOCATE_WIRE_OUTCOMES);
+    ASSERT_TRUE(file.good()) << "cannot write " << DNSLOCATE_WIRE_OUTCOMES;
+    file << live;
+    GTEST_SKIP() << "golden regenerated at " << DNSLOCATE_WIRE_OUTCOMES;
+  }
+  std::ifstream file(DNSLOCATE_WIRE_OUTCOMES);
+  std::stringstream golden;
+  golden << file.rdbuf();
+  ASSERT_FALSE(golden.str().empty())
+      << "missing golden file " << DNSLOCATE_WIRE_OUTCOMES
+      << " — regenerate with DNSLOCATE_UPDATE_GOLDEN=1";
+  EXPECT_EQ(live, golden.str())
+      << "decode outcomes over the corpus neighbourhood drifted; if the change is "
+         "deliberate, regenerate with DNSLOCATE_UPDATE_GOLDEN=1";
+}
+
 TEST(DnswireView, PrefilterFieldsWithoutAllocation) {
   // The demux prefilter path: id + QR + first question, straight off the
   // buffer. Compressed names resolve without materializing.
@@ -263,6 +328,24 @@ TEST(DnswireView, StructurallyValidButTypedInvalidSplits) {
   DecodeError error;
   EXPECT_FALSE(view->answer(0).to_record(&error).has_value());
   EXPECT_FALSE(view->to_message().has_value());
+}
+
+TEST(DnswireView, TypedRdataSeedWalksButEveryAnswerFailsItsTypedCheck) {
+  // fuzz/corpus/dnswire/typed_rdata_bad.bin: an A record with RDLENGTH 3,
+  // an empty TXT and a CNAME one byte shorter than its RDLENGTH. The walk
+  // accepts all three envelopes; decode_rdata rejects each one.
+  auto wire = read_file(std::filesystem::path(DNSLOCATE_WIRE_CORPUS) / "typed_rdata_bad.bin");
+  auto view = decode_view(wire);
+  ASSERT_TRUE(view.has_value());
+  ASSERT_EQ(view->answer_count(), 3u);
+  for (std::size_t i = 0; i < view->answer_count(); ++i) {
+    DecodeError error;
+    EXPECT_FALSE(view->answer(i).to_record(&error).has_value()) << "answer " << i;
+    EXPECT_EQ(error.code, DecodeError::Code::bad_rdata) << "answer " << i;
+  }
+  DecodeError error;
+  EXPECT_FALSE(decode_message(wire, &error).has_value());
+  EXPECT_EQ(error.code, DecodeError::Code::bad_rdata);
 }
 
 }  // namespace

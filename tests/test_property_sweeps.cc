@@ -156,10 +156,12 @@ TEST(Truncation, OversizeResponseIsTruncatedTo512WithoutOpt) {
   dnswire::Message response = dnswire::make_response(query);
   response.answers.push_back(dnswire::make_txt(name, std::string(900, 'x')));
   ASSERT_GT(dnswire::encode_message(response).size(), 512u);
-  EXPECT_TRUE(resolvers::DnsServerApp::truncate_to_fit(response, 512));
+  dnswire::WireBuffer wire;
+  EXPECT_TRUE(resolvers::DnsServerApp::encode_to_fit(response, 512, wire));
   EXPECT_TRUE(response.flags.tc);
   EXPECT_TRUE(response.answers.empty());
   EXPECT_LE(dnswire::encode_message(response).size(), 512u);
+  EXPECT_EQ(wire, dnswire::encode_message(response));  // the truncated encoding
 }
 
 TEST(Truncation, EdnsRaisesTheLimit) {
@@ -172,8 +174,10 @@ TEST(Truncation, EdnsRaisesTheLimit) {
 
   dnswire::Message response = dnswire::make_response(query);
   response.answers.push_back(dnswire::make_txt(name, std::string(900, 'x')));
-  EXPECT_FALSE(resolvers::DnsServerApp::truncate_to_fit(response, 4096));
+  dnswire::WireBuffer wire;
+  EXPECT_FALSE(resolvers::DnsServerApp::encode_to_fit(response, 4096, wire));
   EXPECT_FALSE(response.flags.tc);
+  EXPECT_EQ(wire, dnswire::encode_message(response));  // encoded once, as is
 }
 
 TEST(Truncation, TinyAdvertisedSizesClampTo512) {

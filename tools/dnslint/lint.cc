@@ -220,7 +220,7 @@ void check_wire_bounds(std::string_view path, const std::vector<std::string_view
       if (pos != std::string_view::npos && is_call(line, pos, ident.size()))
         add(sink, path, lineno, kRuleWireBounds,
             std::string(ident) + "() bypasses the bounds-checked cursor helpers; "
-            "use Reader/Writer primitives (or std::span copies) instead");
+            "use Cursor/Writer primitives (or std::span copies) instead");
     }
     if (find_ident(line, "reinterpret_cast") != std::string_view::npos)
       add(sink, path, lineno, kRuleWireBounds,
