@@ -97,16 +97,6 @@ struct Fold {
   void operator()(bool b) { (*this)(static_cast<std::uint64_t>(b)); }
 };
 
-Object telemetry_to_json(const core::TransportTelemetry& t) {
-  Object out;
-  out["answered"] = t.answered;
-  out["attempts"] = t.attempts;
-  out["queries"] = t.queries;
-  out["retries"] = t.retries;
-  out["timeouts"] = t.timeouts;
-  return out;
-}
-
 core::TransportTelemetry telemetry_from_json(const Value& value) {
   core::TransportTelemetry t;
   t.answered = static_cast<std::uint64_t>(value["answered"].as_int());
@@ -115,19 +105,6 @@ core::TransportTelemetry telemetry_from_json(const Value& value) {
   t.retries = static_cast<std::uint64_t>(value["retries"].as_int());
   t.timeouts = static_cast<std::uint64_t>(value["timeouts"].as_int());
   return t;
-}
-
-Object drops_to_json(const simnet::DropCounters& d) {
-  Object out;
-  out["by_hook"] = d.by_hook;
-  out["fault_burst"] = d.fault_burst;
-  out["fault_random"] = d.fault_random;
-  out["link_loss"] = d.link_loss;
-  out["no_listener"] = d.no_listener;
-  out["no_route"] = d.no_route;
-  out["queue_overflow"] = d.queue_overflow;
-  out["ttl_expired"] = d.ttl_expired;
-  return out;
 }
 
 simnet::DropCounters drops_from_json(const Value& value) {
@@ -141,17 +118,6 @@ simnet::DropCounters drops_from_json(const Value& value) {
   d.queue_overflow = static_cast<std::uint64_t>(value["queue_overflow"].as_int());
   d.ttl_expired = static_cast<std::uint64_t>(value["ttl_expired"].as_int());
   return d;
-}
-
-Object faults_to_json(const simnet::FaultPlan::Counters& f) {
-  Object out;
-  out["burst_drops"] = f.burst_drops;
-  out["duplicated"] = f.duplicated;
-  out["jittered"] = f.jittered;
-  out["random_drops"] = f.random_drops;
-  out["reordered"] = f.reordered;
-  out["truncated"] = f.truncated;
-  return out;
 }
 
 simnet::FaultPlan::Counters faults_from_json(const Value& value) {
@@ -240,64 +206,12 @@ std::uint64_t fleet_fingerprint(const std::vector<ProbeSpec>& fleet) {
   return fold.h;
 }
 
-Value journal_record_to_json(const ProbeRecord& record) {
-  Object out;
-  out["probe_id"] = static_cast<std::uint64_t>(record.probe_id);
-  out["org"] = record.org.org;
-  out["asn"] = static_cast<std::uint64_t>(record.org.asn);
-  out["country"] = record.org.country;
-  out["tested_v6"] = record.tested_v6;
-  out["outcome"] = std::string(to_string(record.outcome));
-  if (!record.error.empty()) out["error"] = record.error;
-  out["elapsed_us"] = static_cast<std::uint64_t>(record.elapsed.count());
-  out["location"] =
-      std::string(kLocationNames[static_cast<std::size_t>(record.verdict.location)]);
-  if (record.verdict.skipped_stages != 0)
-    out["skipped_stages"] = static_cast<std::uint64_t>(record.verdict.skipped_stages);
-
-  Object detection;
-  for (const auto& summary : record.verdict.detection.per_resolver) {
-    Object entry;
-    entry["intercepted_v4"] = summary.intercepted_v4;
-    entry["intercepted_v6"] = summary.intercepted_v6;
-    entry["tested_v4"] = summary.tested_v4;
-    entry["tested_v6"] = summary.tested_v6;
-    entry["unreachable_v4"] = summary.unreachable_v4;
-    entry["unreachable_v6"] = summary.unreachable_v6;
-    detection[std::string(to_string(summary.kind))] = std::move(entry);
-  }
-  out["detection"] = std::move(detection);
-
-  if (record.verdict.transparency) {
-    out["transparency"] = std::string(
-        kTransparencyNames[static_cast<std::size_t>(record.verdict.transparency->overall)]);
-  }
-  if (record.verdict.cpe_check && record.verdict.cpe_check->cpe.has_string()) {
-    out["cpe_version_bind"] = *record.verdict.cpe_check->cpe.txt;
-    out["cpe_is_interceptor"] = record.verdict.cpe_check->cpe_is_interceptor;
-  }
-  if (record.verdict.bogon) out["bogon_answered"] = record.verdict.bogon->within_isp();
-
-  Object truth;
-  truth["cpe_intercepts"] = record.truth.cpe_intercepts;
-  truth["external_intercepts"] = record.truth.external_intercepts;
-  truth["isp_answers_bogons"] = record.truth.isp_answers_bogons;
-  truth["isp_intercepts_v4"] = record.truth.isp_intercepts_v4;
-  truth["isp_intercepts_v6"] = record.truth.isp_intercepts_v6;
-  truth["expected"] =
-      std::string(kLocationNames[static_cast<std::size_t>(record.truth.expected)]);
-  out["truth"] = std::move(truth);
-
-  out["telemetry"] = telemetry_to_json(record.verdict.telemetry);
-  out["drops"] = drops_to_json(record.drops);
-  out["faults"] = faults_to_json(record.faults);
-  return Value(std::move(out));
-}
-
 namespace {
 
-// Direct-emission helpers for journal_record_dump. Keys must be appended in
-// sorted order within each object to match jsonio's std::map-backed dump.
+// Emission helpers for journal_record_dump. Each member is written with a
+// trailing comma that close_object turns into the closing brace; keys must
+// come in sorted order within each object, as jsonio's std::map-backed
+// dump has them, so that the dump is canonical JSON.
 void emit_key(std::string& out, std::string_view name) {
   out.push_back('"');
   out.append(name);
@@ -310,163 +224,126 @@ void emit_uint(std::string& out, std::string_view name, std::uint64_t value) {
   auto [end, ec] = std::to_chars(buffer, buffer + sizeof buffer, value);
   (void)ec;
   out.append(buffer, end);
+  out.push_back(',');
 }
 
 void emit_bool(std::string& out, std::string_view name, bool value) {
   emit_key(out, name);
-  out.append(value ? "true" : "false");
+  out.append(value ? "true," : "false,");
 }
 
 void emit_string(std::string& out, std::string_view name, std::string_view value) {
   emit_key(out, name);
   out.append(jsonio::escape(value));
+  out.push_back(',');
+}
+
+void open_object(std::string& out, std::string_view name) {
+  emit_key(out, name);
+  out.push_back('{');
+}
+
+void close_object(std::string& out) {
+  if (out.back() == ',') out.back() = '}';
+  else out.push_back('}');
+  out.push_back(',');
 }
 
 }  // namespace
 
-std::string journal_record_dump(const ProbeRecord& record) {
+std::string journal_record_dump(const ProbeRecord& record, bool with_elapsed) {
+  const core::ProbeVerdict& verdict = record.verdict;
   std::string out;
   out.reserve(1400);
   out.push_back('{');
   emit_uint(out, "asn", record.org.asn);
-  out.push_back(',');
-  if (record.verdict.bogon) {
-    emit_bool(out, "bogon_answered", record.verdict.bogon->within_isp());
-    out.push_back(',');
-  }
+  if (verdict.bogon) emit_bool(out, "bogon_answered", verdict.bogon->within_isp());
   emit_string(out, "country", record.org.country);
-  out.push_back(',');
-  if (record.verdict.cpe_check && record.verdict.cpe_check->cpe.has_string()) {
-    emit_bool(out, "cpe_is_interceptor", record.verdict.cpe_check->cpe_is_interceptor);
-    out.push_back(',');
-    emit_string(out, "cpe_version_bind", *record.verdict.cpe_check->cpe.txt);
-    out.push_back(',');
+  if (verdict.cpe_check && verdict.cpe_check->cpe.has_string()) {
+    emit_bool(out, "cpe_is_interceptor", verdict.cpe_check->cpe_is_interceptor);
+    emit_string(out, "cpe_version_bind", *verdict.cpe_check->cpe.txt);
   }
 
-  out.append("\"detection\":{");
+  open_object(out, "detection");
   std::array<std::pair<std::string_view, const core::ResolverInterception*>,
              std::tuple_size_v<decltype(core::DetectionReport::per_resolver)>>
       resolvers_by_name;
   std::size_t count = 0;
-  for (const auto& summary : record.verdict.detection.per_resolver)
+  for (const auto& summary : verdict.detection.per_resolver)
     resolvers_by_name[count++] = {to_string(summary.kind), &summary};
   std::stable_sort(resolvers_by_name.begin(),
                    resolvers_by_name.begin() + static_cast<long>(count),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
-  bool first_resolver = true;
   for (std::size_t i = 0; i < count; ++i) {
-    // std::map semantics: duplicate display names (possible on default-
-    // constructed failed records) collapse, with the last insertion winning.
+    // Duplicate display names (possible on default-constructed failed
+    // records) collapse to one member, the last one winning.
     if (i + 1 < count && resolvers_by_name[i].first == resolvers_by_name[i + 1].first)
       continue;
-    if (!first_resolver) out.push_back(',');
-    first_resolver = false;
-    emit_key(out, resolvers_by_name[i].first);
     const auto& summary = *resolvers_by_name[i].second;
-    out.push_back('{');
+    open_object(out, resolvers_by_name[i].first);
     emit_bool(out, "intercepted_v4", summary.intercepted_v4);
-    out.push_back(',');
     emit_bool(out, "intercepted_v6", summary.intercepted_v6);
-    out.push_back(',');
     emit_bool(out, "tested_v4", summary.tested_v4);
-    out.push_back(',');
     emit_bool(out, "tested_v6", summary.tested_v6);
-    out.push_back(',');
     emit_bool(out, "unreachable_v4", summary.unreachable_v4);
-    out.push_back(',');
     emit_bool(out, "unreachable_v6", summary.unreachable_v6);
-    out.push_back('}');
+    close_object(out);
   }
-  out.append("},");
+  close_object(out);
 
-  out.append("\"drops\":{");
+  open_object(out, "drops");
   emit_uint(out, "by_hook", record.drops.by_hook);
-  out.push_back(',');
   emit_uint(out, "fault_burst", record.drops.fault_burst);
-  out.push_back(',');
   emit_uint(out, "fault_random", record.drops.fault_random);
-  out.push_back(',');
   emit_uint(out, "link_loss", record.drops.link_loss);
-  out.push_back(',');
   emit_uint(out, "no_listener", record.drops.no_listener);
-  out.push_back(',');
   emit_uint(out, "no_route", record.drops.no_route);
-  out.push_back(',');
   emit_uint(out, "queue_overflow", record.drops.queue_overflow);
-  out.push_back(',');
   emit_uint(out, "ttl_expired", record.drops.ttl_expired);
-  out.append("},");
+  close_object(out);
 
-  emit_uint(out, "elapsed_us", static_cast<std::uint64_t>(record.elapsed.count()));
-  out.push_back(',');
-  if (!record.error.empty()) {
-    emit_string(out, "error", record.error);
-    out.push_back(',');
-  }
+  if (with_elapsed)
+    emit_uint(out, "elapsed_us", static_cast<std::uint64_t>(record.elapsed.count()));
+  if (!record.error.empty()) emit_string(out, "error", record.error);
 
-  out.append("\"faults\":{");
+  open_object(out, "faults");
   emit_uint(out, "burst_drops", record.faults.burst_drops);
-  out.push_back(',');
   emit_uint(out, "duplicated", record.faults.duplicated);
-  out.push_back(',');
   emit_uint(out, "jittered", record.faults.jittered);
-  out.push_back(',');
   emit_uint(out, "random_drops", record.faults.random_drops);
-  out.push_back(',');
   emit_uint(out, "reordered", record.faults.reordered);
-  out.push_back(',');
   emit_uint(out, "truncated", record.faults.truncated);
-  out.append("},");
+  close_object(out);
 
-  emit_string(out, "location",
-              kLocationNames[static_cast<std::size_t>(record.verdict.location)]);
-  out.push_back(',');
+  emit_string(out, "location", kLocationNames[static_cast<std::size_t>(verdict.location)]);
   emit_string(out, "org", record.org.org);
-  out.push_back(',');
   emit_string(out, "outcome", to_string(record.outcome));
-  out.push_back(',');
   emit_uint(out, "probe_id", record.probe_id);
-  out.push_back(',');
-  if (record.verdict.skipped_stages != 0) {
-    emit_uint(out, "skipped_stages", record.verdict.skipped_stages);
-    out.push_back(',');
-  }
+  if (verdict.skipped_stages != 0) emit_uint(out, "skipped_stages", verdict.skipped_stages);
 
-  out.append("\"telemetry\":{");
-  emit_uint(out, "answered", record.verdict.telemetry.answered);
-  out.push_back(',');
-  emit_uint(out, "attempts", record.verdict.telemetry.attempts);
-  out.push_back(',');
-  emit_uint(out, "queries", record.verdict.telemetry.queries);
-  out.push_back(',');
-  emit_uint(out, "retries", record.verdict.telemetry.retries);
-  out.push_back(',');
-  emit_uint(out, "timeouts", record.verdict.telemetry.timeouts);
-  out.append("},");
+  open_object(out, "telemetry");
+  emit_uint(out, "answered", verdict.telemetry.answered);
+  emit_uint(out, "attempts", verdict.telemetry.attempts);
+  emit_uint(out, "queries", verdict.telemetry.queries);
+  emit_uint(out, "retries", verdict.telemetry.retries);
+  emit_uint(out, "timeouts", verdict.telemetry.timeouts);
+  close_object(out);
 
   emit_bool(out, "tested_v6", record.tested_v6);
-  out.push_back(',');
-  if (record.verdict.transparency) {
-    emit_string(
-        out, "transparency",
-        kTransparencyNames[static_cast<std::size_t>(record.verdict.transparency->overall)]);
-    out.push_back(',');
+  if (verdict.transparency) {
+    emit_string(out, "transparency",
+                kTransparencyNames[static_cast<std::size_t>(verdict.transparency->overall)]);
   }
 
-  out.append("\"truth\":{");
+  open_object(out, "truth");
   emit_bool(out, "cpe_intercepts", record.truth.cpe_intercepts);
-  out.push_back(',');
-  emit_string(out, "expected",
-              kLocationNames[static_cast<std::size_t>(record.truth.expected)]);
-  out.push_back(',');
+  emit_string(out, "expected", kLocationNames[static_cast<std::size_t>(record.truth.expected)]);
   emit_bool(out, "external_intercepts", record.truth.external_intercepts);
-  out.push_back(',');
   emit_bool(out, "isp_answers_bogons", record.truth.isp_answers_bogons);
-  out.push_back(',');
   emit_bool(out, "isp_intercepts_v4", record.truth.isp_intercepts_v4);
-  out.push_back(',');
   emit_bool(out, "isp_intercepts_v6", record.truth.isp_intercepts_v6);
-  out.append("}}");
+  close_object(out);
+  out.back() = '}';
   return out;
 }
 
@@ -568,13 +445,28 @@ JournalWriter::~JournalWriter() {
 
 namespace {
 
+// A record line is exactly {"crc":"<16 hex>","record":<journal_record_dump>}.
+constexpr std::string_view kCrcPrefix = "{\"crc\":\"";
+constexpr std::string_view kRecordKey = "\",\"record\":";
+constexpr std::size_t kRecordOffset = kCrcPrefix.size() + 16 + kRecordKey.size();
+
 void append_record_line(std::string& lines, const ProbeRecord& record) {
   std::string inner = journal_record_dump(record);
-  lines.append("{\"crc\":");
-  lines.append(jsonio::escape(to_hex(fnv1a(inner))));
-  lines.append(",\"record\":");
+  lines.append(kCrcPrefix);
+  lines.append(to_hex(fnv1a(inner)));
+  lines.append(kRecordKey);
   lines.append(inner);
   lines.append("}\n");
+}
+
+/// The record's bytes as the writer laid them out in `line`; nullopt when the
+/// line does not have the writer's shape.
+std::optional<std::string_view> record_bytes(std::string_view line) {
+  if (line.size() <= kRecordOffset || !line.starts_with(kCrcPrefix) ||
+      line.substr(kCrcPrefix.size() + 16, kRecordKey.size()) != kRecordKey ||
+      line.back() != '}')
+    return std::nullopt;
+  return line.substr(kRecordOffset, line.size() - kRecordOffset - 1);
 }
 
 }  // namespace
@@ -707,7 +599,8 @@ JournalLoadResult parse_journal(std::string_view text) {
     }
     auto crc = from_hex((*value)["crc"].as_string());
     const Value& record_json = (*value)["record"];
-    if (!crc || !record_json.is_object() || fnv1a(record_json.dump()) != *crc) {
+    auto raw_record = record_bytes(line);
+    if (!crc || !record_json.is_object() || !raw_record || fnv1a(*raw_record) != *crc) {
       result.warnings.push_back("line " + std::to_string(line_number) +
                                 ": checksum mismatch, record dropped");
       ++result.damaged;

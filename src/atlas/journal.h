@@ -4,8 +4,11 @@
 // a fingerprint of the fleet being measured; every following line is one
 // completed probe wrapped with an FNV-1a checksum:
 //
-//   {"fingerprint":"<16 hex>","probes":9650,"format":"dnslocate-journal","version":1}
+//   {"fingerprint":"<16 hex>","fleet_size":9650,"format":"dnslocate-journal","version":1}
 //   {"crc":"<16 hex of record dump>","record":{...full probe record...}}
+//
+// The checksum covers the record's bytes exactly as written, so reload
+// never re-serializes a record to check it.
 //
 // Every append reaches the OS before it returns and the file is fsync'd
 // at most once a second; the fleet runner hands completed records to the
@@ -44,19 +47,21 @@ struct JournalHeader {
 /// Deterministic fingerprint over the full fleet specification.
 std::uint64_t fleet_fingerprint(const std::vector<ProbeSpec>& fleet);
 
-/// Serialize one record to the journal's JSON form. Round-trips everything
-/// the report layer aggregates: verdict summaries, ground truth, transport
-/// telemetry, drop/fault counters, and the supervision outcome.
-jsonio::Value journal_record_to_json(const ProbeRecord& record);
+/// The record codec. journal_record_dump is the one emitter of a probe
+/// record and journal_record_from_json the one parser: the journal, the
+/// dataset export (report::run_to_jsonl) and the daemon's verdict stream
+/// all carry these bytes. The dump is canonical JSON (sorted keys, no
+/// whitespace: jsonio::parse(dump).dump() == dump) and round-trips
+/// everything the report layer aggregates: verdict summaries, ground
+/// truth, transport telemetry, drop/fault counters and the supervision
+/// outcome. The journal checksums exactly these bytes. `with_elapsed =
+/// false` leaves out the one wall-clock member, `elapsed_us`: that is the
+/// export's form, byte-identical across reruns, shard counts and resumes.
+std::string journal_record_dump(const ProbeRecord& record, bool with_elapsed = true);
 
-/// Parse a journal record; nullopt when structurally invalid.
+/// Parse a record; nullopt when it is not an object or its `outcome` or
+/// `location` is missing or unknown. A missing `elapsed_us` reads as 0.
 std::optional<ProbeRecord> journal_record_from_json(const jsonio::Value& value);
-
-/// Serialize one record straight to its journal JSON text: byte-identical to
-/// journal_record_to_json(record).dump() — the checksum covers exactly these
-/// bytes — but without building the value tree, so checkpointing stays
-/// cheap on the fleet's hot path (JournalWriter uses this form).
-std::string journal_record_dump(const ProbeRecord& record);
 
 /// Append-only journal writer. Thread-safe; every append reaches the OS
 /// before it returns (surviving a crash of this process), and the file is

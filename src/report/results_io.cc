@@ -1,87 +1,19 @@
 #include "report/results_io.h"
 
+#include "atlas/journal.h"
+#include "jsonio/json.h"
+
 namespace dnslocate::report {
-namespace {
 
-using core::InterceptorLocation;
-using core::TransparencyClass;
-using jsonio::Array;
-using jsonio::Object;
-using jsonio::Value;
-
-constexpr std::string_view kLocationNames[] = {"not_intercepted", "cpe", "isp", "unknown",
-                                               "contested"};
-constexpr std::string_view kTransparencyNames[] = {"transparent", "status_modified", "both",
-                                                   "indeterminate"};
-
-std::optional<InterceptorLocation> location_from(const std::string& name) {
-  for (std::size_t i = 0; i < std::size(kLocationNames); ++i)
-    if (kLocationNames[i] == name) return static_cast<InterceptorLocation>(i);
-  return std::nullopt;
-}
-
-std::optional<TransparencyClass> transparency_from(const std::string& name) {
-  for (std::size_t i = 0; i < 4; ++i)
-    if (kTransparencyNames[i] == name) return static_cast<TransparencyClass>(i);
-  return std::nullopt;
-}
-
-Object resolver_to_json(const core::ResolverInterception& summary) {
-  Object out;
-  out["tested_v4"] = summary.tested_v4;
-  out["tested_v6"] = summary.tested_v6;
-  out["intercepted_v4"] = summary.intercepted_v4;
-  out["intercepted_v6"] = summary.intercepted_v6;
-  return out;
-}
-
-}  // namespace
-
-Value probe_to_json(const atlas::ProbeRecord& record) {
-  Object out;
-  out["probe_id"] = static_cast<std::uint64_t>(record.probe_id);
-  out["org"] = record.org.org;
-  out["asn"] = static_cast<std::uint64_t>(record.org.asn);
-  out["country"] = record.org.country;
-  out["tested_v6"] = record.tested_v6;
-  out["location"] =
-      std::string(kLocationNames[static_cast<std::size_t>(record.verdict.location)]);
-  // Supervision fields, emitted only when non-default so pre-supervision
-  // exports stay byte-identical (missing = a clean, complete probe).
-  if (record.outcome != atlas::ProbeOutcome::ok)
-    out["outcome"] = std::string(to_string(record.outcome));
-  if (!record.error.empty()) out["probe_error"] = record.error;
-  if (record.verdict.skipped_stages != 0)
-    out["skipped_stages"] = static_cast<std::uint64_t>(record.verdict.skipped_stages);
-
-  Object detection;
-  for (const auto& summary : record.verdict.detection.per_resolver)
-    detection[std::string(to_string(summary.kind))] = resolver_to_json(summary);
-  out["detection"] = std::move(detection);
-
-  if (record.verdict.transparency) {
-    out["transparency"] = std::string(
-        kTransparencyNames[static_cast<std::size_t>(record.verdict.transparency->overall)]);
-  }
-  if (record.verdict.cpe_check && record.verdict.cpe_check->cpe.has_string())
-    out["cpe_version_bind"] = *record.verdict.cpe_check->cpe.txt;
-  if (record.verdict.bogon) out["bogon_answered"] = record.verdict.bogon->within_isp();
-
-  Object truth;
-  truth["cpe_intercepts"] = record.truth.cpe_intercepts;
-  truth["isp_intercepts_v4"] = record.truth.isp_intercepts_v4;
-  truth["external_intercepts"] = record.truth.external_intercepts;
-  truth["expected"] =
-      std::string(kLocationNames[static_cast<std::size_t>(record.truth.expected)]);
-  out["truth"] = std::move(truth);
-  return Value(std::move(out));
+std::string probe_to_json(const atlas::ProbeRecord& record) {
+  return atlas::journal_record_dump(record, /*with_elapsed=*/false);
 }
 
 std::string run_to_jsonl(const atlas::MeasurementRun& run) {
   std::string out;
   for (const auto& record : run.records) {
-    out += probe_to_json(record).dump();
-    out += "\n";
+    out += probe_to_json(record);
+    out += '\n';
   }
   return out;
 }
@@ -101,76 +33,13 @@ JsonlLoadResult run_from_jsonl(std::string_view text) {
 
     jsonio::ParseError error;
     auto value = jsonio::parse(line, &error);
-    if (!value || !value->is_object()) {
+    auto record = value ? atlas::journal_record_from_json(*value) : std::nullopt;
+    if (!record) {
       result.errors.push_back("line " + std::to_string(line_number) + ": " +
-                              (value ? "not an object" : error.message));
+                              (value ? "not a probe record" : error.message));
       continue;
     }
-
-    atlas::ProbeRecord record;
-    record.probe_id = static_cast<std::uint32_t>((*value)["probe_id"].as_int());
-    record.org.org = (*value)["org"].as_string();
-    record.org.asn = static_cast<std::uint32_t>((*value)["asn"].as_int());
-    record.org.country = (*value)["country"].as_string();
-    record.tested_v6 = (*value)["tested_v6"].as_bool();
-
-    auto location = location_from((*value)["location"].as_string());
-    if (!location) {
-      result.errors.push_back("line " + std::to_string(line_number) + ": bad location");
-      continue;
-    }
-    record.verdict.location = *location;
-
-    if ((*value)["outcome"].is_string()) {
-      if (auto outcome = atlas::probe_outcome_from((*value)["outcome"].as_string()))
-        record.outcome = *outcome;
-    }
-    record.error = (*value)["probe_error"].as_string();
-    record.verdict.skipped_stages =
-        static_cast<std::uint8_t>((*value)["skipped_stages"].as_int());
-
-    const auto& detection = (*value)["detection"];
-    for (auto kind : resolvers::all_public_resolvers()) {
-      const auto& entry = detection[std::string(to_string(kind))];
-      auto& summary = record.verdict.detection.per_resolver[static_cast<std::size_t>(kind)];
-      summary.kind = kind;
-      summary.tested_v4 = entry["tested_v4"].as_bool();
-      summary.tested_v6 = entry["tested_v6"].as_bool();
-      summary.intercepted_v4 = entry["intercepted_v4"].as_bool();
-      summary.intercepted_v6 = entry["intercepted_v6"].as_bool();
-    }
-
-    if ((*value)["transparency"].is_string()) {
-      if (auto transparency = transparency_from((*value)["transparency"].as_string())) {
-        core::TransparencyReport report;
-        report.overall = *transparency;
-        record.verdict.transparency = std::move(report);
-      }
-    }
-    if ((*value)["cpe_version_bind"].is_string()) {
-      core::CpeCheckReport check;
-      check.cpe.answered = true;
-      check.cpe.txt = (*value)["cpe_version_bind"].as_string();
-      check.cpe.display = *check.cpe.txt;
-      check.cpe_is_interceptor = record.verdict.location == InterceptorLocation::cpe;
-      record.verdict.cpe_check = std::move(check);
-    }
-    if ((*value)["bogon_answered"].is_bool()) {
-      core::BogonReport bogon;
-      bogon.v4.tested = true;
-      if ((*value)["bogon_answered"].as_bool())
-        bogon.v4.a_query.status = core::QueryResult::Status::answered;
-      record.verdict.bogon = std::move(bogon);
-    }
-
-    const auto& truth = (*value)["truth"];
-    record.truth.cpe_intercepts = truth["cpe_intercepts"].as_bool();
-    record.truth.isp_intercepts_v4 = truth["isp_intercepts_v4"].as_bool();
-    record.truth.external_intercepts = truth["external_intercepts"].as_bool();
-    if (auto expected = location_from(truth["expected"].as_string()))
-      record.truth.expected = *expected;
-
-    result.run.records.push_back(std::move(record));
+    result.run.records.push_back(std::move(*record));
   }
   return result;
 }

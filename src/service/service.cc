@@ -420,7 +420,7 @@ void MeasurementService::execute(const std::shared_ptr<Run>& run) {
     options.cancel = run->cancel;
     options.on_record = [run](const atlas::ProbeRecord& record) {
       netbase::MutexLock lock(run->mutex);
-      run->verdict_lines.push_back(report::probe_to_json(record).dump());
+      run->verdict_lines.push_back(report::probe_to_json(record));
     };
     if (run->pace.count() > 0) {
       // Pacing spreads a simulated fleet over wall-clock time (drain and
@@ -616,7 +616,7 @@ void MeasurementService::ensure_history_loaded(Run& run) {
         run.verdict_lines.clear();
         run.verdict_lines.reserve(result.records.size());
         for (const auto& record : result.records)
-          run.verdict_lines.push_back(report::probe_to_json(record).dump());
+          run.verdict_lines.push_back(report::probe_to_json(record));
         run.result = std::move(result);
       }
     }

@@ -12,6 +12,7 @@
 
 #include "dnswire/decoder.h"
 #include "dnswire/encoder.h"
+#include "netbase/arena.h"
 
 namespace dnslocate::sockets {
 
@@ -153,6 +154,10 @@ void LoopbackDnsServer::serve_tcp_connection() {
 }
 
 void LoopbackDnsServer::serve() {
+  // The serve thread owns the arena its wire buffers park in: a thread's
+  // fallback arena is leaked at exit (netbase/arena.h).
+  netbase::ByteArena arena;
+  netbase::ScopedArena scoped(arena);
   while (running_.load()) {
     pollfd pfds[2];
     pfds[0] = {fd_, POLLIN, 0};

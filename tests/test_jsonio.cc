@@ -165,7 +165,8 @@ TEST(ResultsIo, RoundTripPreservesAggregation) {
 }
 
 TEST(ResultsIo, BadLinesAreReportedAndSkipped) {
-  auto loaded = run_from_jsonl("not json\n{\"probe_id\":1,\"location\":\"cpe\"}\n[1,2]\n");
+  auto loaded = run_from_jsonl(
+      "not json\n{\"probe_id\":1,\"location\":\"cpe\",\"outcome\":\"ok\"}\n[1,2]\n");
   EXPECT_EQ(loaded.errors.size(), 2u);
   ASSERT_EQ(loaded.run.records.size(), 1u);
   EXPECT_EQ(loaded.run.records[0].verdict.location, core::InterceptorLocation::cpe);

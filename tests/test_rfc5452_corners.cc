@@ -36,6 +36,7 @@
 #include "core/query_batch.h"
 #include "dnswire/decoder.h"
 #include "dnswire/encoder.h"
+#include "netbase/arena.h"
 #include "simnet/adversary.h"
 #include "sockets/tcp_transport.h"
 #include "sockets/udp_engine.h"
@@ -151,6 +152,10 @@ class CornerServer {
   }
 
   void serve() {
+    // The thread owns the arena its wire buffers park in: a thread's
+    // fallback arena is leaked at exit (netbase/arena.h).
+    netbase::ByteArena arena;
+    netbase::ScopedArena scoped(arena);
     while (running_.load()) {
       pollfd p{fd_, POLLIN, 0};
       if (::poll(&p, 1, 20) <= 0) continue;
@@ -352,6 +357,10 @@ class TcpCornerServer {
   }
 
   void serve() {
+    // The thread owns the arena its wire buffers park in: a thread's
+    // fallback arena is leaked at exit (netbase/arena.h).
+    netbase::ByteArena arena;
+    netbase::ScopedArena scoped(arena);
     while (running_.load()) {
       pollfd p{listen_fd_, POLLIN, 0};
       if (::poll(&p, 1, 20) <= 0) continue;

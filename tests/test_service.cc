@@ -6,12 +6,14 @@
 
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 
 #include "atlas/fleet_json.h"
 #include "atlas/measurement.h"
 #include "atlas/sharding.h"
+#include "jsonio/json.h"
 #include "obs/metrics.h"
 #include "report/results_io.h"
 #include "service/api.h"
@@ -71,6 +73,40 @@ std::size_t thread_count() {
        std::filesystem::directory_iterator("/proc/self/task"))
     ++n;
   return n;
+}
+
+/// thread_count() once it equals `expected`, or after a few seconds: a
+/// joined thread's task can stay listed in /proc/self/task for a moment
+/// while it exits.
+std::size_t settled_thread_count(std::size_t expected) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::size_t n = thread_count();
+  while (n != expected && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    n = thread_count();
+  }
+  return n;
+}
+
+/// The verdict stream put in fleet order, one line each, as /records has it.
+std::string verdicts_in_fleet_order(MeasurementService& svc, const std::string& id,
+                                    const std::string& plan) {
+  auto page = svc.verdicts(id, 0);
+  EXPECT_TRUE(page.has_value());
+  if (!page) return {};
+  std::map<std::uint32_t, std::string> by_probe;
+  for (const auto& line : page->lines) {
+    auto value = jsonio::parse(line);
+    EXPECT_TRUE(value.has_value()) << line;
+    if (value) by_probe[static_cast<std::uint32_t>((*value)["probe_id"].as_int())] = line;
+  }
+  EXPECT_EQ(by_probe.size(), page->lines.size());
+  std::string out;
+  for (const auto& spec : atlas::fleet_from_json(plan).generate()) {
+    auto it = by_probe.find(spec.probe_id);
+    if (it != by_probe.end()) out += it->second + "\n";
+  }
+  return out;
 }
 
 // --- HTTP message layer ---
@@ -215,7 +251,7 @@ TEST(Service, WorkersStartWithTheFirstWork) {
   ASSERT_TRUE(jsonl.has_value());
   EXPECT_EQ(*jsonl, baseline_jsonl(kSmallPlan));
   svc.drain();
-  EXPECT_EQ(thread_count(), before);
+  EXPECT_EQ(settled_thread_count(before), before);
 }
 
 TEST(Service, DrainWithoutWorkersReturns) {
@@ -265,6 +301,35 @@ TEST(Service, RunCompletesWithStreamedVerdictsAndByteIdenticalRecords) {
   auto jsonl = svc.records_jsonl(submitted.id);
   ASSERT_TRUE(jsonl.has_value());
   EXPECT_EQ(*jsonl, baseline_jsonl(kSmallPlan));
+}
+
+TEST(Service, VerdictLinesInFleetOrderAreTheRecordLines) {
+  // Each verdict line is the probe's record: streamed live in completion
+  // order, and rebuilt from the journal when a later process serves the
+  // run from history.
+  const std::string state_dir = make_scratch_dir("svc-verdict-records");
+  std::string id;
+  {
+    ServiceConfig config;
+    config.state_dir = state_dir;
+    config.run_threads = 2;
+    MeasurementService svc(config);
+    auto submitted = svc.submit(kSmallPlan);
+    ASSERT_EQ(submitted.status, 202) << submitted.error;
+    id = submitted.id;
+    ASSERT_TRUE(wait_for_state(svc, id, RunState::completed));
+    auto jsonl = svc.records_jsonl(id);
+    ASSERT_TRUE(jsonl.has_value());
+    EXPECT_EQ(verdicts_in_fleet_order(svc, id, kSmallPlan), *jsonl);
+    svc.drain();
+  }
+  ServiceConfig config;
+  config.state_dir = state_dir;
+  MeasurementService svc(config);
+  auto jsonl = svc.records_jsonl(id);
+  ASSERT_TRUE(jsonl.has_value());
+  EXPECT_EQ(*jsonl, baseline_jsonl(kSmallPlan));
+  EXPECT_EQ(verdicts_in_fleet_order(svc, id, kSmallPlan), *jsonl);
 }
 
 TEST(Service, TenantCapAnswers429AndTenantsAreIsolated) {
