@@ -9,6 +9,7 @@
 
 #include "atlas/journal.h"
 #include "atlas/sharding.h"
+#include "core/sim_transport.h"
 #include "netbase/arena.h"
 #include "netbase/thread_annotations.h"
 #include "obs/clock.h"
@@ -17,20 +18,6 @@
 
 namespace dnslocate::atlas {
 namespace {
-
-/// Observability clock driven by the probe's simulator: every span and
-/// histogram recorded while the probe runs carries simulated nanoseconds,
-/// so two runs of the same scenario export identical traces.
-class SimulatorClock final : public obs::ClockSource {
- public:
-  explicit SimulatorClock(const simnet::Simulator& sim) : sim_(sim) {}
-  [[nodiscard]] std::uint64_t now_ns() const override {
-    return static_cast<std::uint64_t>(sim_.now().count());
-  }
-
- private:
-  const simnet::Simulator& sim_;
-};
 
 /// Mirror a completed probe's drop and fault counters into the metrics
 /// registry. This is the single seam through which simulated-network drops
@@ -347,7 +334,7 @@ ProbeRecord run_probe(const ProbeSpec& spec, const core::CancelToken& cancel,
   Scenario scenario(spec.scenario);
   // Everything inside this probe reads simulated time and is attributed to
   // this probe id: spans land in the per-probe trace lane, deterministically.
-  SimulatorClock clock(scenario.sim());
+  core::SimulatorClock clock(scenario.sim());
   obs::ScopedClock clock_scope(&clock);
   obs::ScopedProbe probe_scope(spec.probe_id);
   obs::Span probe_span("probe/run");

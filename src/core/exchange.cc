@@ -1,7 +1,6 @@
 #include "core/exchange.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "dnswire/decoder.h"
 #include "dnswire/view.h"
@@ -10,9 +9,9 @@
 namespace dnslocate::core {
 namespace {
 
-/// Granularity at which waits re-check a manually-cancellable token (a
-/// deadline token needs no polling — it caps the wait horizon directly).
-constexpr std::chrono::milliseconds kCancelPollSlice{50};
+/// Base seed of an exchange's own re-roll stream; each stream is keyed by
+/// the query's original transaction ID (seed ^ id << 32).
+constexpr std::uint64_t kRerollSeed = 0x5eed5eed;
 
 }  // namespace
 
@@ -28,27 +27,6 @@ bool response_acceptable(const dnswire::Message& sent, const dnswire::Message& r
 
 bool responses_conflict(const dnswire::Message& a, const dnswire::Message& b) {
   return a.rcode() != b.rcode() || a.flags.tc != b.flags.tc || a.answers != b.answers;
-}
-
-void prepare_retry_attempt(dnswire::Message& message, const RetryPolicy& policy,
-                           simnet::Rng& rng) {
-  rerandomize_query(message, policy, rng);
-}
-
-bool interruptible_backoff(std::chrono::milliseconds backoff, const CancelToken& cancel) {
-  if (!cancel.active()) {
-    if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
-    return true;
-  }
-  auto wake = CancelToken::Clock::now() + backoff;
-  if (auto deadline = cancel.deadline()) wake = std::min(wake, *deadline);
-  while (!cancel.cancelled()) {
-    auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        wake - CancelToken::Clock::now());
-    if (remaining.count() <= 0) break;
-    std::this_thread::sleep_for(std::min(remaining, kCancelPollSlice));
-  }
-  return !cancel.cancelled();
 }
 
 SourceKey source_key_from(const netbase::Endpoint& endpoint) {
@@ -110,96 +88,142 @@ ExchangeLedger::Disposition ExchangeLedger::deliver(const dnswire::Message& sent
   return Disposition::followup;
 }
 
+Exchange::Exchange(const dnswire::Message& message, const QueryOptions& options,
+                   const ExchangePolicy& policy, simnet::Rng* shared_rng)
+    : options_(&options),
+      // Per-query options win; the transport-level default applies otherwise.
+      retry_(options.retry.enabled() ? options.retry : policy.retry),
+      duplicate_window_(policy.duplicate_window),
+      honour_cancellation_(policy.honour_cancellation),
+      shared_rng_(shared_rng),
+      own_rng_(kRerollSeed ^ (static_cast<std::uint64_t>(message.id) << 32)),
+      message_(message) {}
+
+bool Exchange::begin_attempt(std::chrono::nanoseconds now) {
+  if (cancelled()) {
+    on_cancel();
+    return false;
+  }
+  // Fresh transaction ID (and 0x20 pattern) per retry: a straggling response
+  // to an earlier attempt fails the ID check instead of answering this one.
+  if (++attempt_ > 1) rerandomize_query(message_, retry_, shared_rng_ ? *shared_rng_ : own_rng_);
+  telemetry_.attempts = attempt_;
+  ledger_.begin_attempt();
+  sent_at_ = now;
+  deadline_ = now + std::chrono::duration_cast<std::chrono::nanoseconds>(options_->timeout);
+  // A cancellation deadline caps the collection window; a manual token is
+  // re-checked by the driver every kCancelPollSlice.
+  if (honour_cancellation_)
+    if (auto cancel_deadline = options_->cancel.deadline())
+      deadline_ = std::min(deadline_, std::chrono::nanoseconds(cancel_deadline->time_since_epoch()));
+  wake_at_ = deadline_;
+  phase_ = Phase::waiting;
+  return true;
+}
+
+void Exchange::on_expiry(std::chrono::nanoseconds now) {
+  if (phase_ == Phase::collecting) {
+    phase_ = Phase::done;
+  } else if (phase_ == Phase::backing_off) {
+    phase_ = Phase::ready;
+  } else if (phase_ == Phase::waiting) {
+    ++telemetry_.timeouts;
+    phase_ = Phase::done;
+    if (!cancelled() && attempt_ < std::max(1u, retry_.max_attempts)) {
+      auto backoff = retry_.backoff_before(attempt_ + 1);
+      telemetry_.backoff_waited += backoff;
+      wake_at_ = now + std::chrono::duration_cast<std::chrono::nanoseconds>(backoff);
+      phase_ = Phase::backing_off;
+    }
+  }
+}
+
+void Exchange::on_cancel() {
+  // Cancellation never manufactures an answer and never drops one.
+  if (phase_ == Phase::waiting) ++telemetry_.timeouts;
+  phase_ = Phase::done;
+}
+
+void Exchange::on_inbound(const ExchangeChannel::Inbound& inbound,
+                          std::chrono::nanoseconds now) {
+  if (inbound.kind == ExchangeChannel::Inbound::Kind::icmp_ttl_exceeded) {
+    // The quoted datagram inside the error is our own query; confirm by id
+    // before crediting the reporting router.
+    auto quoted = dnswire::decode_view(inbound.payload);
+    if (quoted && quoted->id() == message_.id && inbound.icmp_from)
+      ledger_.note_icmp(*inbound.icmp_from);
+    return;
+  }
+  auto response = dnswire::decode_message(inbound.payload);
+  if (!response) {
+    ledger_.note_malformed();  // on our flow but not DNS: injection debris
+    return;
+  }
+  if (!inbound.source_matches || !response_acceptable(message_, *response)) {
+    // Wrong-egress injection, or a wrong ID / unechoed question: an
+    // off-path guess.
+    ledger_.note_spoof();
+    return;
+  }
+  deliver(std::move(*response), inbound.source,
+          payload_fingerprint(inbound.payload.data(), inbound.payload.size()), now);
+}
+
+ExchangeLedger::Disposition Exchange::deliver(dnswire::Message&& response, SourceKey source,
+                                              std::uint64_t fingerprint,
+                                              std::chrono::nanoseconds now) {
+  auto rtt = std::chrono::duration_cast<std::chrono::microseconds>(now - sent_at_);
+  auto disposition = ledger_.deliver(message_, std::move(response), source, fingerprint, rtt);
+  if (disposition == ExchangeLedger::Disposition::accepted) {
+    phase_ = Phase::collecting;
+    if (duplicate_window_)
+      wake_at_ = std::min(
+          deadline_, now + std::chrono::duration_cast<std::chrono::nanoseconds>(*duplicate_window_));
+  }
+  return disposition;
+}
+
+QueryResult Exchange::finish() {
+  phase_ = Phase::done;
+  QueryResult result = std::move(ledger_.result());
+  result.retry = telemetry_;
+  return result;
+}
+
 QueryResult run_exchange(ExchangeChannel& channel, const dnswire::Message& message,
                          const QueryOptions& options, const ExchangePolicy& policy,
-                         simnet::Rng& rng) {
-  unsigned budget = std::max(1u, policy.retry.max_attempts);
-  dnswire::Message attempt_message = message;
-  RetryTelemetry telemetry;
-  ExchangeLedger ledger;
-
-  for (unsigned attempt_number = 1; attempt_number <= budget; ++attempt_number) {
-    if (attempt_number > 1) {
-      auto backoff = policy.retry.backoff_before(attempt_number);
-      telemetry.backoff_waited += backoff;
-      // The backoff wait honours the cancellation token: a supervised probe
-      // stopped mid-backoff abandons its remaining attempts (reported as a
-      // timeout — cancellation never manufactures an answer).
-      if (!channel.wait_backoff(backoff, options.cancel)) break;
-      // Fresh transaction ID (and 0x20 pattern): a straggling response to
-      // an earlier attempt fails the ID check instead of answering this one.
-      prepare_retry_attempt(attempt_message, policy.retry, rng);
-    }
-    if (policy.honour_cancellation && options.cancel.cancelled()) break;
-
-    obs::Span attempt_span("transport/attempt");
-    ledger.begin_attempt();
-    auto sent_at = channel.now();
-    auto deadline = sent_at + std::chrono::duration_cast<std::chrono::nanoseconds>(options.timeout);
-    // A cancellation deadline caps the collection window; a manual token is
-    // re-checked every poll slice inside the channel's receive.
-    if (policy.honour_cancellation)
-      if (auto cancel_deadline = options.cancel.deadline())
-        deadline = std::min(deadline,
-                            std::chrono::nanoseconds(cancel_deadline->time_since_epoch()));
-
-    telemetry.attempts = attempt_number;
-    if (!channel.begin_attempt_and_send(attempt_message, deadline)) {
-      // Unsendable attempt (no socket / unsupported family / network down):
-      // burns the attempt immediately, exactly like a silent network.
-      ++telemetry.timeouts;
-      channel.end_attempt();
+                         simnet::Rng* shared_rng) {
+  Exchange exchange(message, options, policy, shared_rng);
+  while (exchange.phase() != Exchange::Phase::done) {
+    if (exchange.phase() == Exchange::Phase::backing_off) {
+      auto backoff =
+          std::chrono::duration_cast<std::chrono::milliseconds>(exchange.wake_at() - channel.now());
+      if (channel.wait_backoff(backoff, options.cancel))
+        exchange.on_expiry(channel.now());
+      else
+        exchange.on_cancel();
       continue;
     }
-
-    std::optional<std::chrono::nanoseconds> duplicate_deadline;
-    while (true) {
-      if (policy.honour_cancellation && options.cancel.cancelled()) break;
-      auto horizon = duplicate_deadline ? std::min(*duplicate_deadline, deadline) : deadline;
-      ExchangeChannel::Inbound* inbound = channel.receive(horizon, options.cancel);
-      if (!inbound) break;
-
-      if (inbound->kind == ExchangeChannel::Inbound::Kind::icmp_ttl_exceeded) {
-        // The quoted datagram inside the error is our own query; confirm by
-        // id before crediting the reporting router.
-        auto quoted = dnswire::decode_view(inbound->payload);
-        if (quoted && quoted->id() == attempt_message.id && inbound->icmp_from)
-          ledger.note_icmp(*inbound->icmp_from);
-        continue;
+    if (!exchange.begin_attempt(channel.now())) break;
+    obs::Span attempt_span("transport/attempt");
+    if (!channel.begin_attempt_and_send(exchange.message(), exchange.wake_at()))
+      exchange.on_expiry(channel.now());  // unsendable: burns as a timeout
+    while (exchange.on_wire()) {
+      if (exchange.cancelled()) {
+        exchange.on_cancel();
+        break;
       }
-
-      auto response = dnswire::decode_message(inbound->payload);
-      if (!response) {
-        ledger.note_malformed();  // on our flow but not DNS: injection debris
-        continue;
-      }
-      if (!inbound->source_matches) {
-        ledger.note_spoof();  // wrong-egress injection
-        continue;
-      }
-      if (!response_acceptable(attempt_message, *response)) {
-        ledger.note_spoof();  // wrong ID / unechoed question: off-path guess
-        continue;
-      }
-
-      auto rtt = std::chrono::duration_cast<std::chrono::microseconds>(channel.now() - sent_at);
-      auto disposition = ledger.deliver(
-          attempt_message, std::move(*response), inbound->source,
-          payload_fingerprint(inbound->payload.data(), inbound->payload.size()), rtt);
-      if (disposition == ExchangeLedger::Disposition::accepted && policy.duplicate_window)
-        duplicate_deadline =
-            channel.now() +
-            std::chrono::duration_cast<std::chrono::nanoseconds>(*policy.duplicate_window);
+      ExchangeChannel::Inbound* inbound = channel.receive(exchange.wake_at(), options.cancel);
+      if (inbound)
+        exchange.on_inbound(*inbound, channel.now());
+      else if (exchange.cancelled())
+        exchange.on_cancel();
+      else
+        exchange.on_expiry(channel.now());
     }
     channel.end_attempt();
-
-    if (ledger.result().answered()) break;
-    ++telemetry.timeouts;
   }
-
-  QueryResult result = std::move(ledger.result());
-  result.retry = telemetry;
-  return result;
+  return exchange.finish();
 }
 
 }  // namespace dnslocate::core

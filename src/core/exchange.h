@@ -1,27 +1,25 @@
-// The exchange kernel: the single implementation of per-attempt query
-// policy, answer acceptance, and spoof arbitration, shared by every
+// The exchange kernel: the single implementation of the per-query attempt
+// timeline, answer acceptance, and spoof arbitration, shared by every
 // transport.
 //
 // The paper's verdicts are only as trustworthy as the answer-acceptance
-// rules, and before this seam existed those rules — RFC 5452 source/ID
+// rules and the account of how each query ended (§3.3 reads silence as
+// evidence). Before this seam existed those rules — RFC 5452 source/ID
 // matching, 0x20 comparison, duplicate-window listening, retry
 // re-randomization, conflict arbitration (Whac-A-Mole, arXiv 2011.12978) —
 // were re-implemented per transport. Now there is exactly one copy:
 //
-//   * run_exchange() drives the full attempt loop (retry budget, backoff,
-//     fresh-ID + 0x20 re-roll, per-attempt deadline, duplicate-window
-//     continuation, cancellation) over an ExchangeChannel, the minimal
-//     medium seam (send, receive, clock, backoff wait). SimTransport and
-//     TcpTransport are thin channels behind it.
-//   * ExchangeLedger owns the acceptance/arbitration state machine for one
-//     query (malformed / wrong-source / unacceptable tallies, byte-identical
-//     dedup, 0x20 case-mismatch evidence, first-accept vs conflict). The
-//     batched UdpEngine keeps its own timer-wheel/demux event loop but
-//     delegates every accept/arbitrate decision to a ledger per query.
+//   * Exchange is one query's attempt timeline, free of I/O (retry budget,
+//     backoff, re-roll, deadlines, duplicate window, cancellation). It owns
+//     an ExchangeLedger, the acceptance/arbitration state machine.
+//   * Two drivers: run_exchange() over an ExchangeChannel (SimTransport and
+//     TcpTransport are thin channels), and UdpEngine, one Exchange per
+//     batch slot driven from its timer wheel and shared-socket demux.
 //
 // dnslint's single-acceptance-seam rule enforces the monopoly: transaction-
-// ID acceptance, duplicate fingerprinting, or 0x20-comparison logic outside
-// this pair of files fails lint.
+// ID acceptance, duplicate fingerprinting, 0x20 comparison, backoff
+// arithmetic or retry re-randomization outside these files (and the
+// RetryPolicy that defines the last two) fails lint.
 #pragma once
 
 #include <array>
@@ -64,20 +62,10 @@ namespace dnslocate::core {
 /// never reach this check — the ledger deduplicates them first.
 [[nodiscard]] bool responses_conflict(const dnswire::Message& a, const dnswire::Message& b);
 
-/// Mutate `message` for a fresh attempt per `policy`: new transaction ID
-/// and/or re-randomized 0x20 case bits, drawn from `rng` — so a straggling
-/// response to an earlier attempt fails the ID check instead of answering
-/// the retry.
-void prepare_retry_attempt(dnswire::Message& message, const RetryPolicy& policy,
-                           simnet::Rng& rng);
-
-/// Sleep for `backoff`, returning early (false) if the token fires. The wait
-/// is sliced so a manual cancel interrupts it, and capped by the token's
-/// deadline so a supervised probe never sleeps past its budget. Wall-clock
-/// channels use this between attempts; the simulated channel waits in
-/// simulated time instead.
-[[nodiscard]] bool interruptible_backoff(std::chrono::milliseconds backoff,
-                                         const CancelToken& cancel);
+/// Granularity at which wall-clock waits (socket polls, backoff sleeps)
+/// re-check a manually cancellable token. A deadline token needs no
+/// polling: it caps the wait horizon directly.
+inline constexpr std::chrono::milliseconds kCancelPollSlice{50};
 
 // ---------------------------------------------------------------------------
 // Source identity.
@@ -105,12 +93,11 @@ struct SourceKey {
 // ---------------------------------------------------------------------------
 // Per-query arbitration ledger.
 
-/// The acceptance/arbitration state machine for one query. Every engine
-/// feeds it: run_exchange() drives it for the one-query-at-a-time channels
-/// (simulated, TCP), and UdpEngine calls it directly from its demux. The ledger
-/// persists across retry attempts — a failed attempt contributes no accepted
-/// responses, so one continuous ledger is equivalent to per-attempt ledgers
-/// summed, and ICMP evidence keeps the last reporting attempt's router.
+/// The acceptance/arbitration state machine for one query, owned by its
+/// Exchange. It persists across retry attempts — a failed attempt
+/// contributes no accepted responses, so one continuous ledger is equivalent
+/// to per-attempt ledgers summed, and ICMP evidence keeps the last
+/// reporting attempt's router.
 class ExchangeLedger {
  public:
   /// What deliver() did with an acceptable response.
@@ -164,8 +151,8 @@ class ExchangeLedger {
 /// The minimal medium interface run_exchange() needs: a clock, a way to put
 /// an attempt on the wire, a way to take the next inbound datagram off it,
 /// and a backoff wait. Implementations are small: the simulated channel
-/// steps the simulator, the UDP channel polls a socket, the TCP channel
-/// reads length-framed messages off a connection.
+/// steps the simulator, the TCP channel reads length-framed messages off a
+/// connection.
 class ExchangeChannel {
  public:
   /// One inbound unit on the attempt's flow. The channel moves bytes and
@@ -218,33 +205,107 @@ class ExchangeChannel {
 };
 
 // ---------------------------------------------------------------------------
-// The driver.
+// The attempt timeline.
 
-/// Per-exchange policy resolved by the transport adapter (per-query options
-/// win over transport-level defaults; that resolution stays with the owner
-/// of the defaults).
+/// Per-exchange policy resolved by the transport from its own defaults.
 struct ExchangePolicy {
-  /// Retry budget and re-randomization behaviour.
+  /// The transport's default retry policy; a query whose
+  /// QueryOptions::retry is enabled runs that one instead.
   RetryPolicy retry;
   /// How long to keep collecting after the first accepted answer. nullopt =
   /// collect to the full attempt timeout (the simulated transport's
   /// behaviour: simulated waits cost no wall-clock, so the whole window is
   /// always observed).
   std::optional<std::chrono::milliseconds> duplicate_window;
-  /// Whether the attempt loop honours QueryOptions::cancel (wall-clock
+  /// Whether the timeline honours QueryOptions::cancel (wall-clock
   /// transports). The simulated transport runs in simulated time where the
-  /// wall-clock budget is meaningless, so it opts out — matching the
-  /// sequential engine it replaced.
+  /// wall-clock budget is meaningless, so it opts out.
   bool honour_cancellation = true;
 };
 
-/// Run one complete query exchange over `channel`: the retry/backoff loop,
-/// per-attempt deadline, acceptance, arbitration, duplicate-window
-/// continuation, and cancellation — returning the finished QueryResult with
-/// retry telemetry attached. The calling engine records transport
-/// telemetry (QueryTransport::record_telemetry).
+/// One query's attempt timeline, free of I/O. Times are absolute, on the
+/// driver's clock (simulated time, or steady_clock since its epoch, which
+/// CancelToken deadlines share).
+///
+///   ready ──begin_attempt──► waiting ──first accept──► collecting
+///     ▲                        │ expiry                     │ expiry
+///     │                        ▼                            ▼
+///     └─────expiry───── backing_off      (budget spent) ──► done
+///
+/// A cancellation moves any phase to done; only an answer survives it. A
+/// retry re-rolls in begin_attempt(), after the backoff, so a simulator's
+/// shared stream is drawn in event order.
+class Exchange {
+ public:
+  enum class Phase { ready, waiting, collecting, backing_off, done };
+
+  /// `options` must outlive the exchange. Retries re-roll from `shared_rng`
+  /// (the simulator's stream), else from the exchange's own stream keyed by
+  /// the original ID, so scheduling never changes a retry's ID or 0x20 case.
+  Exchange(const dnswire::Message& message, const QueryOptions& options,
+           const ExchangePolicy& policy, simnet::Rng* shared_rng = nullptr);
+
+  [[nodiscard]] Phase phase() const { return phase_; }
+  /// An attempt is on the wire: datagrams on its flow belong to it.
+  [[nodiscard]] bool on_wire() const {
+    return phase_ == Phase::waiting || phase_ == Phase::collecting;
+  }
+  /// What the current attempt carries (its ID and 0x20 pattern).
+  [[nodiscard]] const dnswire::Message& message() const { return message_; }
+  [[nodiscard]] ExchangeLedger& ledger() { return ledger_; }
+  /// When on_expiry() is due: the attempt deadline (capped by a cancel
+  /// deadline), the end of the duplicate window, or the end of the backoff.
+  [[nodiscard]] std::chrono::nanoseconds wake_at() const { return wake_at_; }
+  /// The query's token fired and this exchange honours it.
+  [[nodiscard]] bool cancelled() const {
+    return honour_cancellation_ && options_->cancel.cancelled();
+  }
+
+  /// ready → waiting: open the next attempt at `now`, or, when the token
+  /// has fired, go to done and return false (nothing is to be sent).
+  bool begin_attempt(std::chrono::nanoseconds now);
+  /// The attempt's time is up: wake_at() passed, the medium ended its flow
+  /// early (a TCP peer close), or it could not be sent at all. waiting: a
+  /// timeout, then backing_off or done; collecting: done with the answer;
+  /// backing_off: ready.
+  void on_expiry(std::chrono::nanoseconds now);
+  /// The token fired: done. A waiting attempt counts as a timeout; an
+  /// answer already collected is kept.
+  void on_cancel();
+  /// Judge one inbound unit on the attempt's only flow: ICMP quoting the
+  /// attempt, debris, spoof evidence, or a response to deliver().
+  void on_inbound(const ExchangeChannel::Inbound& inbound, std::chrono::nanoseconds now);
+  /// Arbitrate a response already pinned to this attempt (source and
+  /// RFC 5452 checks passed); the first accept opens the duplicate window.
+  ExchangeLedger::Disposition deliver(dnswire::Message&& response, SourceKey source,
+                                      std::uint64_t fingerprint,
+                                      std::chrono::nanoseconds now);
+  /// The finished result with retry telemetry attached (moved out).
+  [[nodiscard]] QueryResult finish();
+
+ private:
+  const QueryOptions* options_;
+  RetryPolicy retry_;
+  std::optional<std::chrono::milliseconds> duplicate_window_;
+  bool honour_cancellation_;
+  simnet::Rng* shared_rng_;
+  simnet::Rng own_rng_;
+
+  Phase phase_ = Phase::ready;
+  unsigned attempt_ = 0;  // attempts begun so far
+  dnswire::Message message_;
+  std::chrono::nanoseconds sent_at_{0};
+  std::chrono::nanoseconds deadline_{0};
+  std::chrono::nanoseconds wake_at_{0};
+  ExchangeLedger ledger_;
+  RetryTelemetry telemetry_;
+};
+
+/// Run one query over `channel`: drive one Exchange, with a
+/// `transport/attempt` span per attempt. The calling engine records
+/// transport telemetry (QueryTransport::record_telemetry).
 [[nodiscard]] QueryResult run_exchange(ExchangeChannel& channel, const dnswire::Message& message,
                                        const QueryOptions& options, const ExchangePolicy& policy,
-                                       simnet::Rng& rng);
+                                       simnet::Rng* shared_rng = nullptr);
 
 }  // namespace dnslocate::core

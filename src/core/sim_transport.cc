@@ -4,25 +4,10 @@
 
 #include "core/exchange.h"
 #include "dnswire/encoder.h"
-#include "obs/clock.h"
 #include "obs/span.h"
 
 namespace dnslocate::core {
 namespace {
-
-/// Observability clock driven by the simulator: spans and histograms
-/// recorded while a simulated query runs carry simulated-nanosecond
-/// timestamps, so traces replay bit-identically across runs and hosts.
-class SimulatorClock final : public obs::ClockSource {
- public:
-  explicit SimulatorClock(const simnet::Simulator& sim) : sim_(sim) {}
-  [[nodiscard]] std::uint64_t now_ns() const override {
-    return static_cast<std::uint64_t>(sim_.now().count());
-  }
-
- private:
-  const simnet::Simulator& sim_;
-};
 
 /// The simulated ExchangeChannel: binds a fresh ephemeral port per attempt,
 /// injects the datagram, and steps the simulator to hand inbound packets to
@@ -168,14 +153,14 @@ QueryResult SimTransport::query(const netbase::Endpoint& server,
   obs::Span query_span("transport/query");
 
   SimChannel channel(sim_, host_, server, options, next_port_, queries_sent_, inbound_pool_);
+  // Single-shot unless the query asks for retries. Simulated waits cost no
+  // wall-clock, so the full timeout window is always observed for
+  // replication duplicates (no separate window), and the wall-clock
+  // cancellation budget is meaningless in simulated time.
   ExchangePolicy policy;
-  policy.retry = options.retry;
-  // Simulated waits cost no wall-clock, so the full timeout window is
-  // always observed for replication duplicates (no separate window), and
-  // the wall-clock cancellation budget is meaningless in simulated time.
   policy.duplicate_window = std::nullopt;
   policy.honour_cancellation = false;
-  QueryResult result = run_exchange(channel, message, options, policy, sim_.rng());
+  QueryResult result = run_exchange(channel, message, options, policy, &sim_.rng());
   record_telemetry(result);
   return result;
 }

@@ -8,9 +8,24 @@
 #include "core/exchange.h"
 #include "core/query_batch.h"
 #include "core/transport.h"
+#include "obs/clock.h"
 #include "simnet/simulator.h"
 
 namespace dnslocate::core {
+
+/// Observability clock driven by a simulator: spans and histograms recorded
+/// under it carry simulated nanoseconds, so traces replay bit-identically
+/// across runs and hosts.
+class SimulatorClock final : public obs::ClockSource {
+ public:
+  explicit SimulatorClock(const simnet::Simulator& sim) : sim_(sim) {}
+  [[nodiscard]] std::uint64_t now_ns() const override {
+    return static_cast<std::uint64_t>(sim_.now().count());
+  }
+
+ private:
+  const simnet::Simulator& sim_;
+};
 
 /// A query engine backed by a simnet host device. Each query runs through
 /// the shared exchange kernel (core/exchange.h) over a simulated channel

@@ -1,79 +1,43 @@
 #include "sockets/tcp_transport.h"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
+#include <thread>
 
 #include "core/exchange.h"
 #include "dnswire/encoder.h"
 #include "obs/span.h"
-#include "simnet/rng.h"
+#include "sockets/socket_util.h"
 
 namespace dnslocate::sockets {
 namespace {
 
-class Fd {
- public:
-  Fd() = default;
-  explicit Fd(int fd) : fd_(fd) {}
-  ~Fd() { reset(); }
-  Fd(const Fd&) = delete;
-  Fd& operator=(const Fd&) = delete;
-  void reset(int fd = -1) {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = fd;
-  }
-  [[nodiscard]] int get() const { return fd_; }
-  [[nodiscard]] bool valid() const { return fd_ >= 0; }
-
- private:
-  int fd_ = -1;
-};
-
-socklen_t to_sockaddr(const netbase::Endpoint& endpoint, sockaddr_storage& storage) {
-  std::memset(&storage, 0, sizeof storage);
-  if (endpoint.address.is_v4()) {
-    auto* sa = reinterpret_cast<sockaddr_in*>(&storage);
-    sa->sin_family = AF_INET;
-    sa->sin_port = htons(endpoint.port);
-    auto bytes = endpoint.address.v4().to_bytes();
-    std::memcpy(&sa->sin_addr, bytes.data(), 4);
-    return sizeof(sockaddr_in);
-  }
-  auto* sa = reinterpret_cast<sockaddr_in6*>(&storage);
-  sa->sin6_family = AF_INET6;
-  sa->sin6_port = htons(endpoint.port);
-  const auto& bytes = endpoint.address.v6().bytes();
-  std::memcpy(&sa->sin6_addr, bytes.data(), 16);
-  return sizeof(sockaddr_in6);
-}
-
 using Clock = std::chrono::steady_clock;
 
-/// Wait until the fd is ready for `events` or the deadline passes.
-bool wait_ready(int fd, short events, Clock::time_point deadline) {
-  while (true) {
-    auto remaining =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - Clock::now());
+/// Wait until the fd is ready for `events`, the deadline passes or `cancel`
+/// fires. A cancellable token is re-checked every core::kCancelPollSlice.
+bool wait_ready(int fd, short events, Clock::time_point deadline,
+                const core::CancelToken& cancel) {
+  while (!cancel.cancelled()) {
+    // Rounded up, so the wait never ends just short of the deadline.
+    auto remaining = std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now());
     if (remaining.count() <= 0) return false;
+    if (cancel.active()) remaining = std::min(remaining, core::kCancelPollSlice);
     pollfd pfd{fd, events, 0};
     int ready = ::poll(&pfd, 1, static_cast<int>(remaining.count()));
     if (ready > 0) return true;
-    if (ready < 0 && errno == EINTR) continue;
-    return false;
+    if (ready < 0 && errno != EINTR) return false;
   }
+  return false;
 }
 
-bool send_all(int fd, const std::uint8_t* data, std::size_t size, Clock::time_point deadline) {
+bool send_all(int fd, const std::uint8_t* data, std::size_t size, Clock::time_point deadline,
+              const core::CancelToken& cancel) {
   std::size_t sent = 0;
   while (sent < size) {
-    if (!wait_ready(fd, POLLOUT, deadline)) return false;
+    if (!wait_ready(fd, POLLOUT, deadline, cancel)) return false;
     ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
@@ -84,10 +48,11 @@ bool send_all(int fd, const std::uint8_t* data, std::size_t size, Clock::time_po
   return true;
 }
 
-bool recv_all(int fd, std::uint8_t* data, std::size_t size, Clock::time_point deadline) {
+bool recv_all(int fd, std::uint8_t* data, std::size_t size, Clock::time_point deadline,
+              const core::CancelToken& cancel) {
   std::size_t received = 0;
   while (received < size) {
-    if (!wait_ready(fd, POLLIN, deadline)) return false;
+    if (!wait_ready(fd, POLLIN, deadline, cancel)) return false;
     ssize_t n = ::recv(fd, data + received, size - received, 0);
     if (n == 0) return false;  // peer closed early
     if (n < 0) {
@@ -107,8 +72,8 @@ bool recv_all(int fd, std::uint8_t* data, std::size_t size, Clock::time_point de
 /// unechoed question is tallied exactly like a UDP off-path guess.
 class TcpChannel final : public core::ExchangeChannel {
  public:
-  TcpChannel(const netbase::Endpoint& server, const core::QueryOptions& options)
-      : server_(server), options_(options) {}
+  TcpChannel(const netbase::Endpoint& server, const core::CancelToken& cancel)
+      : server_(server), cancel_(cancel) {}
 
   [[nodiscard]] std::chrono::nanoseconds now() override {
     return Clock::now().time_since_epoch();
@@ -126,7 +91,7 @@ class TcpChannel final : public core::ExchangeChannel {
     int rc = ::connect(fd_.get(), reinterpret_cast<const sockaddr*>(&dest), dest_len);
     if (rc < 0 && errno != EINPROGRESS) return false;
     if (rc < 0) {
-      if (!wait_ready(fd_.get(), POLLOUT, deadline_at)) return false;
+      if (!wait_ready(fd_.get(), POLLOUT, deadline_at, cancel_)) return false;
       int error = 0;
       socklen_t len = sizeof error;
       ::getsockopt(fd_.get(), SOL_SOCKET, SO_ERROR, &error, &len);
@@ -141,15 +106,14 @@ class TcpChannel final : public core::ExchangeChannel {
     framed.push_back(static_cast<std::uint8_t>(wire.size() >> 8));
     framed.push_back(static_cast<std::uint8_t>(wire.size() & 0xff));
     framed.insert(framed.end(), wire.begin(), wire.end());
-    return send_all(fd_.get(), framed.data(), framed.size(), deadline_at);
+    return send_all(fd_.get(), framed.data(), framed.size(), deadline_at, cancel_);
   }
 
   Inbound* receive(std::chrono::nanoseconds horizon,
                    const core::CancelToken& cancel) override {
-    if (cancel.cancelled()) return nullptr;
     auto horizon_at = Clock::time_point(horizon);
     std::uint8_t length_prefix[2];
-    if (!recv_all(fd_.get(), length_prefix, 2, horizon_at)) return nullptr;
+    if (!recv_all(fd_.get(), length_prefix, 2, horizon_at, cancel)) return nullptr;
     std::size_t length = static_cast<std::size_t>(length_prefix[0]) << 8 | length_prefix[1];
 
     in_.kind = Inbound::Kind::datagram;
@@ -159,21 +123,30 @@ class TcpChannel final : public core::ExchangeChannel {
     in_.payload.resize(length);
     // A zero-length frame decodes as nothing and is tallied as malformed by
     // the kernel; the stream stays aligned for the next frame either way.
-    if (length > 0 && !recv_all(fd_.get(), in_.payload.data(), length, horizon_at))
+    if (length > 0 && !recv_all(fd_.get(), in_.payload.data(), length, horizon_at, cancel))
       return nullptr;
     return &in_;
   }
 
   void end_attempt() override { fd_.reset(); }
 
+  /// Sleep out the backoff in slices, so a manual cancel interrupts it, and
+  /// no later than the token's deadline. sleep_until, not a millisecond
+  /// count: a truncated remainder would wake just short of a deadline-capped
+  /// wake and report the backoff complete.
   bool wait_backoff(std::chrono::milliseconds backoff,
                     const core::CancelToken& cancel) override {
-    return core::interruptible_backoff(backoff, cancel);
+    auto wake = Clock::now() + backoff;
+    if (auto deadline = cancel.deadline()) wake = std::min(wake, *deadline);
+    while (!cancel.cancelled() && Clock::now() < wake)
+      std::this_thread::sleep_until(
+          cancel.active() ? std::min(wake, Clock::now() + core::kCancelPollSlice) : wake);
+    return !cancel.cancelled();
   }
 
  private:
   netbase::Endpoint server_;
-  const core::QueryOptions& options_;
+  const core::CancelToken& cancel_;
   Fd fd_;
   Inbound in_;
 };
@@ -191,12 +164,10 @@ core::QueryResult TcpTransport::query(const netbase::Endpoint& server,
                                       const core::QueryOptions& options) {
   obs::Span query_span("transport/query_tcp");
   core::ExchangePolicy policy;
-  // Per-query options win; the transport-level default applies otherwise.
-  policy.retry = options.retry.enabled() ? options.retry : config_.retry;
+  policy.retry = config_.retry;
   policy.duplicate_window = config_.duplicate_window;
-  simnet::Rng rng(config_.retry_seed ^ (static_cast<std::uint64_t>(message.id) << 32));
-  TcpChannel channel(server, options);
-  core::QueryResult result = core::run_exchange(channel, message, options, policy, rng);
+  TcpChannel channel(server, options.cancel);
+  core::QueryResult result = core::run_exchange(channel, message, options, policy);
   record_telemetry(result);
   return result;
 }

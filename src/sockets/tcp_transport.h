@@ -27,8 +27,6 @@ class TcpTransport : public core::SequentialTransport {
     /// Single-shot by default: each retry attempt is a fresh connection
     /// with a re-randomized query.
     core::RetryPolicy retry;
-    /// Seed for the per-attempt re-randomization stream.
-    std::uint64_t retry_seed = 0x5eed5eed;
   };
 
   TcpTransport() = default;

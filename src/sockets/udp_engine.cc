@@ -1,13 +1,8 @@
 #include "sockets/udp_engine.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <deque>
 #include <thread>
 #include <unordered_map>
@@ -18,49 +13,13 @@
 #include "dnswire/view.h"
 #include "obs/clock.h"
 #include "obs/span.h"
-#include "simnet/rng.h"
+#include "sockets/socket_util.h"
 #include "sockets/timer_wheel.h"
 
 namespace dnslocate::sockets {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-class Fd {
- public:
-  Fd() = default;
-  explicit Fd(int fd) : fd_(fd) {}
-  ~Fd() { reset(); }
-  Fd(const Fd&) = delete;
-  Fd& operator=(const Fd&) = delete;
-  void reset(int fd = -1) {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = fd;
-  }
-  [[nodiscard]] int get() const { return fd_; }
-  [[nodiscard]] bool valid() const { return fd_ >= 0; }
-
- private:
-  int fd_ = -1;
-};
-
-socklen_t to_sockaddr(const netbase::Endpoint& endpoint, sockaddr_storage& storage) {
-  std::memset(&storage, 0, sizeof storage);
-  if (endpoint.address.is_v4()) {
-    auto* sa = reinterpret_cast<sockaddr_in*>(&storage);
-    sa->sin_family = AF_INET;
-    sa->sin_port = htons(endpoint.port);
-    auto bytes = endpoint.address.v4().to_bytes();
-    std::memcpy(&sa->sin_addr, bytes.data(), 4);
-    return sizeof(sockaddr_in);
-  }
-  auto* sa = reinterpret_cast<sockaddr_in6*>(&storage);
-  sa->sin6_family = AF_INET6;
-  sa->sin6_port = htons(endpoint.port);
-  const auto& bytes = endpoint.address.v6().bytes();
-  std::memcpy(&sa->sin6_addr, bytes.data(), 16);
-  return sizeof(sockaddr_in6);
-}
 
 /// Decode the kernel-filled source address of a datagram.
 std::optional<netbase::Endpoint> from_sockaddr(const sockaddr_storage& storage) {
@@ -79,53 +38,9 @@ std::optional<netbase::Endpoint> from_sockaddr(const sockaddr_storage& storage) 
   return std::nullopt;
 }
 
-/// Granularity at which the event loop re-checks manually-cancellable
-/// tokens.
-constexpr std::chrono::milliseconds kCancelPollSlice{50};
-
-/// Per-query execution state: one query's timeline (attempt, answer,
-/// duplicate window, backoff), expressed as an explicit machine the event
-/// loop advances.
-struct QueryState {
-  enum class Phase {
-    queued,       // submitted but not admitted yet (over max_inflight)
-    waiting,      // attempt on the wire, no answer yet
-    collecting,   // answered; gathering replication duplicates
-    backing_off,  // between attempts
-    done,
-  };
-
-  const core::QuerySpec* spec = nullptr;
-  Phase phase = Phase::queued;
-  core::RetryPolicy policy;
-  unsigned budget = 1;
-  unsigned attempt = 0;  // attempts sent so far
-  dnswire::Message attempt_message;
-  simnet::Rng rng{0};
-
-  Clock::time_point sent_at{};
-  Clock::time_point attempt_deadline{};
-  std::optional<Clock::time_point> duplicate_deadline;
-
-  /// Acceptance/arbitration state, owned by the exchange kernel's ledger —
-  /// the engine's demux routes datagrams, the ledger judges them.
-  core::ExchangeLedger ledger;
-  core::RetryTelemetry telemetry;
-
-  /// Admitted and not yet complete: the query occupies one of the
-  /// max_inflight slots through every attempt and backoff.
-  bool holds_slot = false;
-
-  [[nodiscard]] bool in_flight() const {
-    return phase == Phase::waiting || phase == Phase::collecting;
-  }
-  /// The horizon the timer wheel should wake this query at.
-  [[nodiscard]] Clock::time_point horizon() const {
-    if (phase == Phase::collecting && duplicate_deadline)
-      return std::min(attempt_deadline, *duplicate_deadline);
-    return attempt_deadline;
-  }
-};
+/// The exchanges' clock: steady_clock since its epoch, the epoch the timer
+/// wheel and CancelToken deadlines share.
+std::chrono::nanoseconds now() { return Clock::now().time_since_epoch(); }
 
 }  // namespace
 
@@ -143,7 +58,11 @@ void UdpEngine::run(core::QueryBatch& batch) {
     return;
   }
 
-  std::vector<QueryState> states(batch.size());
+  // One attempt timeline per query. An admitted query holds one of the
+  // max_inflight slots from its first send until it completes, through
+  // every attempt and backoff.
+  std::vector<core::Exchange> exchanges;
+  exchanges.reserve(batch.size());
   std::deque<std::size_t> admission;       // not yet sent, in submission order
   std::unordered_multimap<std::uint16_t, std::size_t> by_id;  // live attempt IDs
   // Attempt IDs whose transaction finished (completed, cancelled, or the
@@ -159,18 +78,13 @@ void UdpEngine::run(core::QueryBatch& batch) {
   bool drained = false;
   bool any_cancelable = false;
 
+  core::ExchangePolicy policy;
+  policy.retry = config_.retry;
+  policy.duplicate_window = config_.duplicate_window;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    QueryState& q = states[i];
-    q.spec = &batch.spec(i);
-    q.policy = q.spec->options.retry.enabled() ? q.spec->options.retry : config_.retry;
-    q.budget = std::max(1u, q.policy.max_attempts);
-    q.attempt_message = q.spec->message;
-    // Re-randomization stream keyed by the original transaction ID (the
-    // scheme TcpTransport shares), so a retried attempt's fresh ID and 0x20
-    // pattern do not depend on admission order or the in-flight cap.
-    q.rng = simnet::Rng(config_.retry_seed ^
-                        (static_cast<std::uint64_t>(q.spec->message.id) << 32));
-    if (q.spec->options.cancel.active()) any_cancelable = true;
+    const core::QuerySpec& spec = batch.spec(i);
+    exchanges.emplace_back(spec.message, spec.options, policy);
+    if (spec.options.cancel.active()) any_cancelable = true;
     admission.push_back(i);
   }
 
@@ -183,141 +97,91 @@ void UdpEngine::run(core::QueryBatch& batch) {
     return fd.get();
   };
 
+  // Retire query i's live attempt ID, if it has one on the wire.
   auto unmap_id = [&](std::size_t i) {
-    auto range = by_id.equal_range(states[i].attempt_message.id);
+    std::uint16_t id = exchanges[i].message().id;
+    auto range = by_id.equal_range(id);
     for (auto it = range.first; it != range.second; ++it)
       if (it->second == i) {
         by_id.erase(it);
-        retired_ids.emplace(states[i].attempt_message.id, i);
+        retired_ids.emplace(id, i);
         break;
       }
   };
 
   auto complete = [&](std::size_t i) {
-    QueryState& q = states[i];
-    if (q.in_flight()) unmap_id(i);
-    if (q.holds_slot) {
-      q.holds_slot = false;
-      --inflight;
-    }
-    wheel.cancel(i);
-    q.phase = QueryState::Phase::done;
-    q.ledger.result().retry = q.telemetry;
-    batch.result(i) = q.ledger.result();
+    batch.result(i) = exchanges[i].finish();
+    // Cut short by cancellation: abandoned in flight or never sent.
+    if (!batch.result(i).answered() && exchanges[i].cancelled()) drained = true;
     record_telemetry(batch.result(i));
     ++completed;
   };
 
-  auto send_attempt = [&](std::size_t i) {
-    QueryState& q = states[i];
-    ++q.attempt;
-    q.telemetry.attempts = q.attempt;
-    if (q.attempt > 1) core::prepare_retry_attempt(q.attempt_message, q.policy, q.rng);
-
-    int fd = socket_for(q.spec->server);
-    bool sent = false;
-    if (fd >= 0) {
-      if (q.spec->options.ttl) {
-        int ttl = *q.spec->options.ttl;
-        if (q.spec->server.address.is_v4())
-          ::setsockopt(fd, IPPROTO_IP, IP_TTL, &ttl, sizeof ttl);
-        else
-          ::setsockopt(fd, IPPROTO_IPV6, IPV6_UNICAST_HOPS, &ttl, sizeof ttl);
-      }
-      sockaddr_storage dest{};
-      socklen_t dest_len = to_sockaddr(q.spec->server, dest);
-      dnswire::WireBuffer wire = dnswire::encode_message(q.attempt_message);
-      sent = ::sendto(fd, wire.data(), wire.size(), 0,
-                      reinterpret_cast<const sockaddr*>(&dest), dest_len) >= 0;
+  auto send = [&](const core::QuerySpec& spec, const dnswire::Message& message) {
+    int fd = socket_for(spec.server);
+    if (fd < 0) return false;
+    if (spec.options.ttl) {
+      int ttl = *spec.options.ttl;
+      if (spec.server.address.is_v4())
+        ::setsockopt(fd, IPPROTO_IP, IP_TTL, &ttl, sizeof ttl);
+      else
+        ::setsockopt(fd, IPPROTO_IPV6, IPV6_UNICAST_HOPS, &ttl, sizeof ttl);
     }
+    sockaddr_storage dest{};
+    socklen_t dest_len = to_sockaddr(spec.server, dest);
+    dnswire::WireBuffer wire = dnswire::encode_message(message);
+    return ::sendto(fd, wire.data(), wire.size(), 0, reinterpret_cast<const sockaddr*>(&dest),
+                    dest_len) >= 0;
+  };
 
-    q.sent_at = Clock::now();
-    if (!sent) {
-      // Unsendable attempt (no socket / network down): burns the attempt
-      // immediately.
-      ++q.telemetry.timeouts;
-      if (q.attempt < q.budget) {
-        auto backoff = q.policy.backoff_before(q.attempt + 1);
-        q.telemetry.backoff_waited += backoff;
-        q.phase = QueryState::Phase::backing_off;
-        q.attempt_deadline = q.sent_at + backoff;
-        wheel.schedule(i, q.attempt_deadline);
-      } else {
-        complete(i);
-      }
+  // Follow up a transition of admitted query i: retire the ID of an attempt
+  // that left the wire, put a due attempt on it, then re-arm the timer or
+  // complete the query and free its slot.
+  auto settle = [&](std::size_t i) {
+    core::Exchange& x = exchanges[i];
+    if (!x.on_wire()) unmap_id(i);
+    if (x.phase() == core::Exchange::Phase::ready && x.begin_attempt(now())) {
+      if (send(batch.spec(i), x.message()))
+        by_id.emplace(x.message().id, i);
+      else
+        x.on_expiry(now());  // unsendable: burns as a timeout
+    }
+    if (x.phase() != core::Exchange::Phase::done) {
+      wheel.schedule(i, Clock::time_point(x.wake_at()));
       return;
     }
-
-    q.attempt_deadline = q.sent_at + q.spec->options.timeout;
-    if (auto cancel_deadline = q.spec->options.cancel.deadline())
-      q.attempt_deadline = std::min(q.attempt_deadline, *cancel_deadline);
-    q.phase = QueryState::Phase::waiting;
-    by_id.emplace(q.attempt_message.id, i);
-    wheel.schedule(i, q.horizon());
+    wheel.cancel(i);
+    --inflight;
+    complete(i);
   };
 
   auto admit = [&] {
     while (inflight < std::max<std::size_t>(1, config_.max_inflight) && !admission.empty()) {
       std::size_t i = admission.front();
       admission.pop_front();
-      QueryState& q = states[i];
-      if (q.spec->options.cancel.cancelled()) {
+      if (exchanges[i].cancelled()) {
         // Drained before it was ever sent: an honest timeout with zero
         // attempts, never a fabricated answer.
-        drained = true;
+        exchanges[i].on_cancel();
         complete(i);
         continue;
       }
       ++inflight;
-      q.holds_slot = true;
       peak_inflight = std::max(peak_inflight, inflight);
-      send_attempt(i);
+      settle(i);
     }
   };
 
-  auto on_timer = [&](std::size_t i) {
-    QueryState& q = states[i];
-    switch (q.phase) {
-      case QueryState::Phase::collecting:
-        complete(i);  // duplicate window (or deadline) over; answer stands
-        break;
-      case QueryState::Phase::waiting: {
-        // Attempt timed out.
-        ++q.telemetry.timeouts;
-        if (q.attempt < q.budget && !q.spec->options.cancel.cancelled()) {
-          unmap_id(i);
-          auto backoff = q.policy.backoff_before(q.attempt + 1);
-          q.telemetry.backoff_waited += backoff;
-          q.phase = QueryState::Phase::backing_off;
-          q.attempt_deadline = Clock::now() + backoff;
-          wheel.schedule(i, q.attempt_deadline);
-        } else {
-          complete(i);
-        }
-        break;
-      }
-      case QueryState::Phase::backing_off:
-        // Backoff over; the query kept its slot, so the retry goes out now.
-        send_attempt(i);
-        break;
-      case QueryState::Phase::queued:
-      case QueryState::Phase::done:
-        break;
-    }
-  };
-
+  // Every admitted query still running: past ready, not yet done.
   auto drain_cancelled = [&] {
-    for (std::size_t i = 0; i < states.size(); ++i) {
-      QueryState& q = states[i];
-      if (q.phase == QueryState::Phase::done || q.phase == QueryState::Phase::queued) continue;
-      if (!q.spec->options.cancel.cancelled()) continue;
-      if (q.phase == QueryState::Phase::collecting) {
-        complete(i);  // already answered — the answer is kept, never dropped
+    for (std::size_t i = 0; i < exchanges.size(); ++i) {
+      core::Exchange& x = exchanges[i];
+      auto phase = x.phase();
+      if (phase == core::Exchange::Phase::ready || phase == core::Exchange::Phase::done ||
+          !x.cancelled())
         continue;
-      }
-      if (q.phase == QueryState::Phase::waiting) ++q.telemetry.timeouts;
-      drained = true;
-      complete(i);
+      x.on_cancel();
+      settle(i);
     }
   };
 
@@ -348,9 +212,8 @@ void UdpEngine::run(core::QueryBatch& batch) {
         auto late_source = from_sockaddr(from);
         if (!late_response || !late_source) continue;
         for (auto it = retired.first; it != retired.second; ++it) {
-          const QueryState& q = states[it->second];
-          if (*late_source == q.spec->server &&
-              core::response_acceptable(q.attempt_message, *late_response)) {
+          if (*late_source == batch.spec(it->second).server &&
+              core::response_acceptable(exchanges[it->second].message(), *late_response)) {
             record_late_duplicate();
             break;
           }
@@ -366,8 +229,8 @@ void UdpEngine::run(core::QueryBatch& batch) {
         // injection debris, attributed to the first in-flight candidate.
         auto range = by_id.equal_range(view->id());
         for (auto it = range.first; it != range.second; ++it)
-          if (states[it->second].in_flight()) {
-            states[it->second].ledger.note_malformed();
+          if (exchanges[it->second].on_wire()) {
+            exchanges[it->second].ledger().note_malformed();
             break;
           }
         continue;
@@ -378,43 +241,38 @@ void UdpEngine::run(core::QueryBatch& batch) {
       // and the source endpoint pin the response to one in-flight query.
       auto range = by_id.equal_range(response->id);
       bool settled = false;  // delivered, or recognized as a duplicate
-      std::size_t wrong_source = states.size();  // acceptable, wrong endpoint
-      std::size_t unacceptable = states.size();  // right endpoint, failed check
+      std::size_t wrong_source = exchanges.size();  // acceptable, wrong endpoint
+      std::size_t unacceptable = exchanges.size();  // right endpoint, failed check
       for (auto it = range.first; it != range.second; ++it) {
         std::size_t i = it->second;
-        QueryState& q = states[i];
-        if (!q.in_flight()) continue;
-        bool source_ok = *source == q.spec->server;
-        bool acceptable = core::response_acceptable(q.attempt_message, *response);
+        core::Exchange& x = exchanges[i];
+        if (!x.on_wire()) continue;
+        bool source_ok = *source == batch.spec(i).server;
+        bool acceptable = core::response_acceptable(x.message(), *response);
         if (!source_ok || !acceptable) {
           if (acceptable) wrong_source = i;           // wrong-egress injection
           else if (source_ok) unacceptable = i;       // ID hit, question/0x20 miss
           continue;
         }
 
-        // The ledger arbitrates (dedup, 0x20 evidence, accept-or-conflict);
-        // the engine only reacts to the disposition: a first accept opens
-        // the duplicate-collection window on the timer wheel.
-        auto rtt =
-            std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - q.sent_at);
-        auto disposition = q.ledger.deliver(
-            q.attempt_message, std::move(*response),
+        // The exchange arbitrates (dedup, 0x20 evidence, accept-or-conflict);
+        // a first accept opens the duplicate-collection window, so the
+        // query's timer moves up to the window's end.
+        auto disposition = x.deliver(
+            std::move(*response),
             core::source_key_from(reinterpret_cast<const std::uint8_t*>(&from),
                                   static_cast<std::size_t>(from_len)),
-            core::payload_fingerprint(buffer, static_cast<std::size_t>(n)), rtt);
+            core::payload_fingerprint(buffer, static_cast<std::size_t>(n)), now());
         settled = true;
-        if (disposition == core::ExchangeLedger::Disposition::accepted) {
-          q.duplicate_deadline = Clock::now() + config_.duplicate_window;
-          q.phase = QueryState::Phase::collecting;
-          wheel.schedule(i, q.horizon());
-        }
+        if (disposition == core::ExchangeLedger::Disposition::accepted)
+          wheel.schedule(i, Clock::time_point(x.wake_at()));
         break;
       }
       if (!settled) {
-        if (wrong_source != states.size())
-          states[wrong_source].ledger.note_spoof();
-        else if (unacceptable != states.size())
-          states[unacceptable].ledger.note_spoof();
+        if (wrong_source != exchanges.size())
+          exchanges[wrong_source].ledger().note_spoof();
+        else if (unacceptable != exchanges.size())
+          exchanges[unacceptable].ledger().note_spoof();
       }
     }
   };
@@ -425,8 +283,10 @@ void UdpEngine::run(core::QueryBatch& batch) {
     admit();
     if (completed >= batch.size()) break;
 
-    auto now = Clock::now();
-    for (std::size_t i : wheel.advance(now)) on_timer(i);
+    for (std::size_t i : wheel.advance(Clock::now())) {
+      exchanges[i].on_expiry(now());
+      settle(i);
+    }
     drain_cancelled();
     admit();
     if (completed >= batch.size()) break;
@@ -438,7 +298,7 @@ void UdpEngine::run(core::QueryBatch& batch) {
       // Round up so a wake never lands just before the deadline it serves.
       timeout = std::max(timeout, std::chrono::milliseconds(0)) + std::chrono::milliseconds(1);
     }
-    if (any_cancelable) timeout = std::min(timeout, kCancelPollSlice);
+    if (any_cancelable) timeout = std::min(timeout, core::kCancelPollSlice);
 
     pollfd pfds[2];
     nfds_t nfds = 0;
@@ -458,10 +318,9 @@ void UdpEngine::run(core::QueryBatch& batch) {
   }
 
   // Safety net: a broken poll loop must still fill every slot (as timeouts).
-  for (std::size_t i = 0; i < states.size(); ++i)
-    if (states[i].phase != QueryState::Phase::done) {
-      states[i].ledger.result().retry = states[i].telemetry;
-      batch.result(i) = states[i].ledger.result();
+  for (std::size_t i = 0; i < exchanges.size(); ++i)
+    if (exchanges[i].phase() != core::Exchange::Phase::done) {
+      batch.result(i) = exchanges[i].finish();
       record_telemetry(batch.result(i));
     }
 

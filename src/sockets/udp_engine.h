@@ -10,12 +10,18 @@
 // poll() loop. A probe's wall clock becomes the max of its query timelines
 // instead of their sum.
 //
+// Each query's timeline is a core::Exchange (core/exchange.h), the same
+// attempt machine run_exchange() drives for the simulated and TCP
+// transports: retry budget, backoff, fresh-ID + 0x20 re-roll, per-attempt
+// deadline, duplicate window and cancellation are decided there. The engine
+// keeps what is its own: admission, the timer wheel, the sockets, and the
+// multi-candidate demux that pins a datagram to one exchange.
+//
 // "Blocking" execution is this engine with Config::max_inflight = 1: one
 // query at a time, each running through its attempts, backoffs and
-// duplicate window before the next is sent. Only the scheduling differs; retry policy, the per-query re-randomization
-// stream (seeded retry_seed ^ (original ID << 32)), the duplicate window and
-// the cancellation outcome (abandoned queries report timeouts, answers are
-// never fabricated) are the same at every admission cap.
+// duplicate window before the next is sent. Only the scheduling differs;
+// the timeline of every query (abandoned queries report timeouts, answers
+// are never fabricated) is the same at every admission cap.
 #pragma once
 
 #include <chrono>
@@ -33,9 +39,6 @@ class UdpEngine : public core::QueryTransport, public core::AsyncQueryTransport 
     std::chrono::milliseconds duplicate_window{200};
     /// Default retry policy for queries whose QueryOptions carry none.
     core::RetryPolicy retry;
-    /// Seed for the per-attempt re-randomization streams (same scheme as
-    /// TcpTransport, so retried attempts carry identical contents).
-    std::uint64_t retry_seed = 0x5eed5eed;
     /// Admission cap: queries beyond this many stay queued until a slot
     /// frees. A query holds its slot from its first send until it
     /// completes, retries and backoffs included, so 1 runs the batch

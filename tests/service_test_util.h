@@ -15,9 +15,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -122,16 +124,35 @@ inline HttpReply http_request(std::uint16_t port, const std::string& method,
   return reply;
 }
 
-/// Fresh scratch directory under TMPDIR.
-inline std::string make_scratch_dir(const char* tag) {
-  std::string pattern = "/tmp/dnslocate-";
-  pattern += tag;
-  pattern += "-XXXXXX";
-  std::vector<char> buffer(pattern.begin(), pattern.end());
-  buffer.push_back('\0');
-  const char* made = mkdtemp(buffer.data());
-  return made != nullptr ? made : "/tmp";
-}
+/// A fresh /tmp/dnslocate-<tag>-XXXXXX directory that is removed, with
+/// everything in it, when the object goes out of scope. Declare it before
+/// anything that writes into it, so the state a test inspects stays until
+/// the test ends. When mkdtemp fails the constructor throws, which fails the
+/// test: the destructor only ever removes a directory this object created.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const char* tag) {
+    std::string pattern = "/tmp/dnslocate-";
+    pattern += tag;
+    pattern += "-XXXXXX";
+    std::vector<char> buffer(pattern.begin(), pattern.end());
+    buffer.push_back('\0');
+    if (mkdtemp(buffer.data()) == nullptr)
+      throw std::runtime_error("mkdtemp(" + pattern + ") failed: " + std::strerror(errno));
+    path_ = buffer.data();
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// Wait for a daemon's --port-file to appear and carry a port.
 inline std::uint16_t wait_for_port_file(const std::string& path,

@@ -107,6 +107,16 @@ TEST(DnslintFixtures, AcceptanceSeamCatchesStrayArbitration) {
   EXPECT_GE(count_rule(findings, lint::kRuleAcceptanceSeam, "bad_acceptance"), 7u);
 }
 
+TEST(DnslintFixtures, AcceptanceSeamCatchesAStrayAttemptTimeline) {
+  auto findings = lint_tree(kViolations);
+  // backoff_before (decl + call) and prepare_retry_attempt (decl + call).
+  EXPECT_EQ(count_rule(findings, lint::kRuleAcceptanceSeam, "bad_timeline"), 4u);
+  // The clean tree's engine drives an exchange and its retry.cc defines
+  // backoff_before: neither is a finding.
+  for (const auto& f : lint_tree(kClean))
+    EXPECT_NE(f.rule, std::string(lint::kRuleAcceptanceSeam)) << f.to_string();
+}
+
 TEST(DnslintFixtures, AcceptanceSeamCatchesSingleQueryTransportVirtuals) {
   auto findings = lint_tree(kViolations);
   // QueryTransport::query and AsyncQueryTransport::send_one (a declaration
@@ -198,6 +208,19 @@ TEST(DnslintRules, AcceptanceSeamScoping) {
   // still apply to it).
   for (const auto& f : lint::lint_file("src/core/exchange.h", conflict))
     EXPECT_NE(f.rule, std::string(lint::kRuleAcceptanceSeam)) << f.to_string();
+}
+
+TEST(DnslintRules, AttemptTimelineScoping) {
+  // Backoff arithmetic and the retry re-roll live in the exchange kernel
+  // and the retry policy that defines them; tests may call them freely.
+  for (const std::string code : {"auto wait = policy.backoff_before(attempt + 1);\n",
+                                 "prepare_retry_attempt(message, policy, rng);\n"}) {
+    EXPECT_EQ(lint::lint_file("src/sockets/udp_engine.cc", code).size(), 1u) << code;
+    EXPECT_EQ(lint::lint_file("src/core/sim_transport.cc", code).size(), 1u) << code;
+    EXPECT_TRUE(lint::lint_file("src/core/exchange.cc", code).empty()) << code;
+    EXPECT_TRUE(lint::lint_file("src/core/retry.cc", code).empty()) << code;
+    EXPECT_TRUE(lint::lint_file("tests/test_retry_semantics.cc", code).empty()) << code;
+  }
 }
 
 TEST(DnslintRules, TransportInterfacesKeepOneExecutionSeam) {

@@ -25,6 +25,7 @@
 #include "core/query_batch.h"
 #include "dnswire/decoder.h"
 #include "dnswire/encoder.h"
+#include "netbase/arena.h"
 #include "sockets/udp_engine.h"
 
 namespace dnslocate::sockets {
@@ -102,6 +103,10 @@ class FloodServer {
   }
 
   void sender_loop(std::size_t k) {
+    // The thread owns the arena its wire buffers park in: a thread's
+    // fallback arena is leaked at exit (netbase/arena.h).
+    netbase::ByteArena arena;
+    netbase::ScopedArena scoped(arena);
     while (true) {
       Job job;
       {
@@ -175,6 +180,8 @@ TEST(RaceArbitration, TwoEnginesShareTheProcessSafely) {
   FloodServer server;
 
   auto run_one = [&](std::uint16_t id_base, std::size_t* conflicted) {
+    netbase::ByteArena arena;  // this thread's wire buffers (see sender_loop)
+    netbase::ScopedArena scoped(arena);
     UdpEngine engine;
     core::QueryOptions options;
     options.timeout = std::chrono::milliseconds(2000);

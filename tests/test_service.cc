@@ -29,7 +29,7 @@ using service::MeasurementService;
 using service::RunState;
 using service::ServiceConfig;
 using testutil::http_request;
-using testutil::make_scratch_dir;
+using testutil::ScratchDir;
 
 constexpr const char* kSmallPlan =
     R"({"seed": 7, "ipv6_fraction": 0.5, "orgs": [
@@ -169,8 +169,9 @@ TEST(ServiceHttp, ChunkFramingAndHeadSerialization) {
 // --- admission ---
 
 TEST(Service, RejectsMalformedJsonWithByteContext) {
+  const ScratchDir scratch("svc-badjson");
   ServiceConfig config;
-  config.state_dir = make_scratch_dir("svc-badjson");
+  config.state_dir = scratch.path();
   MeasurementService svc(config);
 
   auto result = svc.submit("{\"probes\": 5,\n \"orgs\": [,]}");
@@ -184,8 +185,9 @@ TEST(Service, RejectsMalformedJsonWithByteContext) {
 }
 
 TEST(Service, RejectsBadPlansTenantsAndOversizedFleets) {
+  const ScratchDir scratch("svc-reject");
   ServiceConfig config;
-  config.state_dir = make_scratch_dir("svc-reject");
+  config.state_dir = scratch.path();
   config.max_probes = 10;
   MeasurementService svc(config);
 
@@ -206,8 +208,9 @@ TEST(Service, RejectsBadPlansTenantsAndOversizedFleets) {
 }
 
 TEST(Service, DrainingAnswers503AndStopsAdmitting) {
+  const ScratchDir scratch("svc-drain503");
   ServiceConfig config;
-  config.state_dir = make_scratch_dir("svc-drain503");
+  config.state_dir = scratch.path();
   MeasurementService svc(config);
   svc.drain();
   EXPECT_TRUE(svc.draining());
@@ -218,7 +221,8 @@ TEST(Service, DrainingAnswers503AndStopsAdmitting) {
 // --- lifecycle ---
 
 TEST(Service, WorkersStartWithTheFirstWork) {
-  const std::string state_dir = make_scratch_dir("svc-idle");
+  const ScratchDir scratch("svc-idle");
+  const std::string& state_dir = scratch.path();
   std::string finished_id;
   {
     ServiceConfig config;
@@ -256,8 +260,9 @@ TEST(Service, WorkersStartWithTheFirstWork) {
 
 TEST(Service, DrainWithoutWorkersReturns) {
   const std::size_t before = thread_count();
+  const ScratchDir scratch("svc-drain-idle");
   ServiceConfig config;
-  config.state_dir = make_scratch_dir("svc-drain-idle");
+  config.state_dir = scratch.path();
   MeasurementService svc(config);
   svc.drain();
   svc.drain();  // idempotent
@@ -268,8 +273,9 @@ TEST(Service, DrainWithoutWorkersReturns) {
 }
 
 TEST(Service, RunCompletesWithStreamedVerdictsAndByteIdenticalRecords) {
+  const ScratchDir scratch("svc-lifecycle");
   ServiceConfig config;
-  config.state_dir = make_scratch_dir("svc-lifecycle");
+  config.state_dir = scratch.path();
   MeasurementService svc(config);
 
   auto submitted = svc.submit(kSmallPlan);
@@ -307,7 +313,8 @@ TEST(Service, VerdictLinesInFleetOrderAreTheRecordLines) {
   // Each verdict line is the probe's record: streamed live in completion
   // order, and rebuilt from the journal when a later process serves the
   // run from history.
-  const std::string state_dir = make_scratch_dir("svc-verdict-records");
+  const ScratchDir scratch("svc-verdict-records");
+  const std::string& state_dir = scratch.path();
   std::string id;
   {
     ServiceConfig config;
@@ -333,8 +340,9 @@ TEST(Service, VerdictLinesInFleetOrderAreTheRecordLines) {
 }
 
 TEST(Service, TenantCapAnswers429AndTenantsAreIsolated) {
+  const ScratchDir scratch("svc-tenants");
   ServiceConfig config;
-  config.state_dir = make_scratch_dir("svc-tenants");
+  config.state_dir = scratch.path();
   config.workers = 2;
   config.tenant_cap = 1;
   MeasurementService svc(config);
@@ -358,8 +366,9 @@ TEST(Service, TenantCapAnswers429AndTenantsAreIsolated) {
 }
 
 TEST(Service, CancelDrainsInFlightProbesAndKeepsCompletedRecords) {
+  const ScratchDir scratch("svc-cancel");
   ServiceConfig config;
-  config.state_dir = make_scratch_dir("svc-cancel");
+  config.state_dir = scratch.path();
   MeasurementService svc(config);
 
   auto submitted = svc.submit(paced_plan("carol", 300, 15));
@@ -387,7 +396,8 @@ TEST(Service, CancelDrainsInFlightProbesAndKeepsCompletedRecords) {
 }
 
 TEST(Service, DrainThenNewServiceResumesToByteIdenticalRecords) {
-  const std::string state_dir = make_scratch_dir("svc-resume");
+  const ScratchDir scratch("svc-resume");
+  const std::string& state_dir = scratch.path();
   const std::string plan = paced_plan("dave", 120, 10);
   std::string id;
   {
@@ -433,7 +443,8 @@ TEST(Service, CancelAtTwoRunThreadsThenRestartKeepsEveryMeasuredRecord) {
   // finalizes the run, and after a restart its /records are read from the
   // base journal alone — so the cancelled run must have consolidated its
   // segments before it returned.
-  const std::string state_dir = make_scratch_dir("svc-cancel-shards");
+  const ScratchDir scratch("svc-cancel-shards");
+  const std::string& state_dir = scratch.path();
   std::string id;
   std::string before_restart;
   std::size_t measured = 0;
@@ -478,8 +489,9 @@ TEST(Service, CancelAtTwoRunThreadsThenRestartKeepsEveryMeasuredRecord) {
 }
 
 TEST(Service, ConcurrentTenantRunsKeepIsolatedJournalsAndRecords) {
+  const ScratchDir scratch("svc-concurrent");
   ServiceConfig config;
-  config.state_dir = make_scratch_dir("svc-concurrent");
+  config.state_dir = scratch.path();
   config.workers = 2;
   MeasurementService svc(config);
 
@@ -507,8 +519,9 @@ TEST(Service, ConcurrentTenantRunsKeepIsolatedJournalsAndRecords) {
 }
 
 TEST(Service, TerminalRunRetentionSpillsAndReloadsFromJournal) {
+  const ScratchDir scratch("svc-retain");
   ServiceConfig config;
-  config.state_dir = make_scratch_dir("svc-retain");
+  config.state_dir = scratch.path();
   config.retain_terminal_runs = 1;
   MeasurementService svc(config);
 
@@ -556,8 +569,9 @@ TEST(Service, MetricsTotalsAgreeWithRunCensusToTheDigit) {
   const auto answered_before = registry.counter("transport_answered_total").value();
   const auto ok_before = registry.counter("probe_ok_total").value();
 
+  const ScratchDir scratch("svc-metrics");
   ServiceConfig config;
-  config.state_dir = make_scratch_dir("svc-metrics");
+  config.state_dir = scratch.path();
   MeasurementService svc(config);
   auto submitted = svc.submit(kSmallPlan);
   ASSERT_EQ(submitted.status, 202) << submitted.error;
@@ -583,8 +597,9 @@ TEST(Service, MetricsTotalsAgreeWithRunCensusToTheDigit) {
 // --- the HTTP API over a real socket ---
 
 TEST(ServiceApi, EndToEndOverLoopbackSocket) {
+  const ScratchDir scratch("svc-api");
   ServiceConfig config;
-  config.state_dir = make_scratch_dir("svc-api");
+  config.state_dir = scratch.path();
   MeasurementService svc(config);
   service::HttpServer server({}, [&svc](const service::HttpRequest& request) {
     return service::route_request(svc, request);

@@ -29,7 +29,7 @@ namespace dnslocate {
 namespace {
 
 using testutil::http_request;
-using testutil::make_scratch_dir;
+using testutil::ScratchDir;
 using testutil::wait_for_port_file;
 
 // 300 paced probes ≈ seconds of runtime: long enough to kill mid-run with
@@ -70,7 +70,8 @@ std::size_t probes_done(std::uint16_t port, const std::string& id) {
 /// resumed run's /records to equal an uninterrupted in-process run
 /// byte for byte. Ends with a SIGTERM drain that must exit 0.
 void kill9_then_resume(const char* tag, unsigned run_threads, std::size_t kill_after) {
-  const std::string state_dir = make_scratch_dir(tag);
+  const ScratchDir scratch(tag);
+  const std::string& state_dir = scratch.path();
   const std::string port_file = state_dir + "/port";
 
   // --- first daemon: submit, let it journal some records, kill -9 ---

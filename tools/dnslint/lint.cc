@@ -109,7 +109,7 @@ struct PathScope {
   bool determinism_seam = false;  // the allowlisted clock/entropy seam
   bool service_listener_seam = false;  // the allowlisted accept-loop seam
   bool exchange_seam = false;  // src/core/exchange.* — the one acceptance impl
-  bool retry_seam = false;     // src/core/retry.* — defines rerandomize_query
+  bool retry_seam = false;     // src/core/retry.* — defines rerandomize_query, backoff_before
   bool annotated_subsystem = false;  // R9: capability-annotated subsystems
 };
 
@@ -138,8 +138,9 @@ PathScope classify_path(std::string_view path) {
   // service kernel stay under the full rule (and under R5).
   scope.service_listener_seam = path == "src/service/http_server.cc";
   // The exchange kernel is the only place that may implement acceptance,
-  // duplicate fingerprinting and arbitration (R6); retry.* defines the
-  // re-randomization primitive the kernel wraps.
+  // duplicate fingerprinting, arbitration and the attempt timeline (R6);
+  // retry.* defines the backoff schedule and re-randomization primitive the
+  // kernel drives.
   scope.exchange_seam = starts_with(path, "src/core/exchange.");
   scope.retry_seam = starts_with(path, "src/core/retry.");
   // Subsystems whose mutexes are netbase::Mutex capabilities (engine 1,
@@ -302,11 +303,12 @@ void check_http_blocking(std::string_view path, const std::vector<std::string_vi
 // ---------------------------------------------------------------- R6 -------
 
 /// Exactly one implementation of answer acceptance, duplicate-window
-/// fingerprinting and arbitration exists: the exchange kernel
-/// (src/core/exchange.*). A transport that matches transaction IDs, hashes
-/// payloads for dedup, or compares answers on its own will drift from the
-/// RFC 5452 semantics the whole evidence model rests on — the refactor that
-/// created the kernel exists precisely because four copies had grown apart.
+/// fingerprinting, arbitration and the attempt timeline exists: the exchange
+/// kernel (src/core/exchange.*). A transport that matches transaction IDs,
+/// hashes payloads for dedup, compares answers, or schedules its own
+/// backoffs and re-rolls will drift from the RFC 5452 semantics and the
+/// timeout accounting the whole evidence model rests on — the kernel and
+/// core::Exchange exist precisely because such copies had grown apart.
 void check_acceptance_seam(std::string_view path, const std::vector<std::string_view>& lines,
                            const PathScope& scope, Sink& sink) {
   struct Banned {
@@ -314,7 +316,7 @@ void check_acceptance_seam(std::string_view path, const std::vector<std::string_
     bool allowed;
     std::string_view message;
   };
-  const std::array<Banned, 4> banned = {{
+  const std::array<Banned, 6> banned = {{
       {"is_acceptable_response", scope.in_dnswire,
        "RFC 5452 acceptance belongs to the exchange kernel; route answers "
        "through core::run_exchange / ExchangeLedger (core/exchange.h)"},
@@ -322,8 +324,14 @@ void check_acceptance_seam(std::string_view path, const std::vector<std::string_
        "answer arbitration belongs to the exchange kernel; deliver the "
        "response to an ExchangeLedger and act on its Disposition"},
       {"rerandomize_query", scope.retry_seam,
-       "per-attempt re-randomization belongs to the exchange kernel; use "
-       "core::prepare_retry_attempt (core/exchange.h)"},
+       "per-attempt re-randomization belongs to the exchange kernel; drive "
+       "the query with a core::Exchange (core/exchange.h)"},
+      {"prepare_retry_attempt", scope.retry_seam,
+       "per-attempt re-randomization belongs to the exchange kernel; drive "
+       "the query with a core::Exchange (core/exchange.h)"},
+      {"backoff_before", scope.retry_seam,
+       "backoff arithmetic belongs to the attempt timeline; drive the query "
+       "with a core::Exchange and wait out its backoff()/wake_at()"},
       {"bytes_hash", false,
        "duplicate-window fingerprinting belongs to the exchange kernel; use "
        "core::payload_fingerprint via ExchangeLedger::deliver"},

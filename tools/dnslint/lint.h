@@ -26,13 +26,16 @@
 //   R6 single-acceptance-seam
 //                      — answer acceptance, duplicate-window fingerprinting
 //                        and arbitration have exactly one implementation:
-//                        the exchange kernel (src/core/exchange.*). Outside
-//                        it, calls to dnswire::is_acceptable_response (except
-//                        in src/dnswire/, which defines it), responses_conflict,
-//                        rerandomize_query (except src/core/retry.*, which
-//                        defines it) or a local payload/bytes hash are
-//                        findings: transports must route answers through
-//                        core::run_exchange / ExchangeLedger. Likewise query
+//                        the exchange kernel (src/core/exchange.*), and so
+//                        does the attempt timeline. Outside it, calls to
+//                        dnswire::is_acceptable_response (except in
+//                        src/dnswire/, which defines it), responses_conflict,
+//                        rerandomize_query, prepare_retry_attempt or
+//                        backoff_before (except src/core/retry.*, which
+//                        defines the retry primitives) or a local
+//                        payload/bytes hash are findings: transports must
+//                        drive a core::Exchange (directly or through
+//                        core::run_exchange). Likewise query
 //                        execution has one seam: a virtual that takes or
 //                        returns a single query (a Message or QueryResult)
 //                        declared on QueryTransport or AsyncQueryTransport
