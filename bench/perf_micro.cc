@@ -340,8 +340,13 @@ constexpr double kBaselineSimExchangeNs = 5496.0;
 constexpr double kBaselineFullPipelineNs = 213136.0;
 
 int run_exchange_smoke(const char* json_path) {
-  constexpr int kPairs = 9;
-  constexpr int kExchangesPerRep = 200;
+  // Each side of a pair times 2,000 exchanges (about 9 ms), 31 pairs in all
+  // (about 0.6 s). At 9 pairs x 200 exchanges (about 1.3 ms a side) the
+  // cache refill after each switch of path weighed on every rep and single
+  // runs spread from 1.04 to 1.15 around a 1.10 gate; at this size they
+  // spread from about 0.96 to 1.08 (EXPERIMENTS.md, P8).
+  constexpr int kPairs = 31;
+  constexpr int kExchangesPerRep = 2000;
   constexpr double kMaxOverheadRatio = 1.10;
 
   atlas::ScenarioConfig config;

@@ -437,7 +437,7 @@ JournalWriter::~JournalWriter() {
   netbase::MutexLock lock(mutex_);
   if (file_ != nullptr) {
     std::fflush(file_);
-    fsync_journal(file_);
+    if (unsynced_) fsync_journal(file_);
     std::fclose(file_);
     file_ = nullptr;
   }
@@ -484,17 +484,6 @@ void JournalWriter::append_batch(const std::vector<const ProbeRecord*>& batch) {
   write_lines(lines, batch.size());
 }
 
-void JournalWriter::append_journal_records(const std::string& path) {
-  std::optional<std::string> text = read_file(path);
-  if (!text) return;
-  std::size_t header_end = text->find('\n');
-  if (header_end == std::string::npos) return;
-  std::string_view lines = std::string_view(*text).substr(header_end + 1);
-  if (lines.empty()) return;
-  obs::Span append_span("journal/append_journal_records");
-  write_lines(lines, static_cast<std::size_t>(std::count(lines.begin(), lines.end(), '\n')));
-}
-
 void JournalWriter::write_lines(std::string_view lines, std::size_t records) {
   netbase::MutexLock lock(mutex_);
   if (file_ == nullptr) return;
@@ -513,7 +502,8 @@ void JournalWriter::write_lines(std::string_view lines, std::size_t records) {
   std::fflush(file_);
   written_ += records;
   auto now = std::chrono::steady_clock::now();
-  if (now - last_sync_ >= sync_interval_) {
+  unsynced_ = now - last_sync_ < sync_interval_;
+  if (!unsynced_) {
     fsync_journal(file_);
     last_sync_ = now;
   }
@@ -525,6 +515,7 @@ void JournalWriter::sync() {
   std::fflush(file_);
   fsync_journal(file_);
   last_sync_ = std::chrono::steady_clock::now();
+  unsynced_ = false;
 }
 
 bool JournalWriter::ok() const {

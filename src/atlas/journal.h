@@ -63,10 +63,11 @@ std::string journal_record_dump(const ProbeRecord& record, bool with_elapsed = t
 /// `location` is missing or unknown. A missing `elapsed_us` reads as 0.
 std::optional<ProbeRecord> journal_record_from_json(const jsonio::Value& value);
 
-/// Append-only journal writer. Thread-safe; every append reaches the OS
-/// before it returns (surviving a crash of this process), and the file is
-/// fsync'd at most once per `sync_interval` and on close (bounding loss on
-/// power failure without an fsync per record).
+/// Append-only journal writer. Thread-safe: every shard of a run appends to
+/// the run's one writer. Every append reaches the OS before it returns
+/// (surviving a crash of this process), and the file is fsync'd at most
+/// once per `sync_interval`, and on close when an append is still unsynced
+/// (bounding loss on power failure without an fsync per record).
 class JournalWriter {
  public:
   /// Opens `path` truncating any previous contents and writes the header.
@@ -82,11 +83,6 @@ class JournalWriter {
   /// Append a batch of records with a single write to the OS: the cheap way
   /// to checkpoint from a hot loop (one syscall per batch, not per record).
   void append_batch(const std::vector<const ProbeRecord*>& batch) DNSLOCATE_EXCLUDES(mutex_);
-  /// Append the record lines of the journal file at `path` verbatim,
-  /// skipping its header: how a multi-shard run consolidates its segments
-  /// without serializing every record twice. The caller guarantees the file
-  /// was written under this journal's header.
-  void append_journal_records(const std::string& path) DNSLOCATE_EXCLUDES(mutex_);
   /// Flush buffered lines and fsync.
   void sync() DNSLOCATE_EXCLUDES(mutex_);
 
@@ -110,6 +106,8 @@ class JournalWriter {
   std::FILE* file_ DNSLOCATE_GUARDED_BY(mutex_) = nullptr;
   std::chrono::steady_clock::time_point last_sync_ DNSLOCATE_GUARDED_BY(mutex_){};
   std::size_t written_ DNSLOCATE_GUARDED_BY(mutex_) = 0;
+  // Some append reached the OS after the last fsync.
+  bool unsynced_ DNSLOCATE_GUARDED_BY(mutex_) = false;
 };
 
 /// Result of reading a journal back.

@@ -5,8 +5,6 @@
 #include <thread>
 #include <unordered_map>
 
-#include <filesystem>
-
 #include "atlas/journal.h"
 #include "atlas/sharding.h"
 #include "core/sim_transport.h"
@@ -144,9 +142,9 @@ MeasurementRun run_fleet_supervised(
     }
   }
 
-  JournalHeader header;
   std::unique_ptr<JournalWriter> journal;
   if (!options.journal_path.empty()) {
+    JournalHeader header;
     header.fingerprint = fleet_fingerprint(fleet);
     header.fleet_size = fleet.size();
     journal = std::make_unique<JournalWriter>(options.journal_path, header,
@@ -184,21 +182,21 @@ MeasurementRun run_fleet_supervised(
   std::atomic<bool> stop{false};
   netbase::Mutex progress_mutex;
 
-  // One shard: its probes in fleet order, checkpointed into `out`. Every
+  // One shard: its probes in fleet order, checkpointed into the journal. Every
   // probe owns its simulator, seeded from its own ScenarioConfig, so the
   // shard decides only *where* a probe executes, never *how*: records are
   // byte-identical at any shard count.
-  auto run_shard = [&](const std::vector<std::size_t>& part, JournalWriter* out) {
+  auto run_shard = [&](const std::vector<std::size_t>& part) {
     std::vector<const ProbeRecord*> batch;
     for (std::size_t i : part) {
       if (stop.load(std::memory_order_relaxed) || options.cancel.cancelled()) break;
       if (completed[i]) continue;  // restored from the journal
       records[i] = supervised_run(fleet[i], options);
       completed[i] = 1;
-      if (out != nullptr) {
+      if (journal) {
         batch.push_back(&records[i]);
         if (batch.size() >= kJournalBatch) {
-          out->append_batch(batch);
+          journal->append_batch(batch);
           batch.clear();
         }
       }
@@ -212,62 +210,30 @@ MeasurementRun run_fleet_supervised(
         if (options.progress) options.progress(finished, fleet.size());
       }
     }
-    if (out != nullptr) out->append_batch(batch);
+    if (journal) journal->append_batch(batch);
   };
 
   std::vector<std::vector<std::size_t>> parts = partition_fleet(fleet, shards);
   if (shards == 1) {
-    // Inline on the calling thread, with the caller's arena, journaling
-    // straight into the base journal.
-    run_shard(parts[0], journal.get());
+    // Inline on the calling thread, with the caller's arena.
+    run_shard(parts[0]);
   } else {
-    // One thread per shard (atlas/sharding.h). Each owns a byte arena, so
-    // the blocks its probes park return to the heap when the shard ends,
-    // and a journal segment, so shards never contend on one file.
+    // One thread per shard (atlas/sharding.h), each owning a byte arena, so
+    // the blocks its probes park return to the heap when the shard ends.
+    // Every shard appends to the run's one journal writer.
     std::vector<std::thread> workers;
     workers.reserve(shards);
     for (unsigned shard = 0; shard < shards; ++shard) {
       workers.emplace_back([&, shard] {
         netbase::ByteArena arena;
         netbase::ScopedArena scoped(arena);
-        if (!journal) {
-          run_shard(parts[shard], nullptr);
-          return;
-        }
-        const std::string path = shard_segment_path(options.journal_path, shard, shards);
-        JournalWriter segment(path, header, options.journal_sync_interval);
-        if (!segment.ok()) {
-          // No segment: checkpoint into the (thread-safe) base journal.
-          run_shard(parts[shard], journal.get());
-          return;
-        }
-        run_shard(parts[shard], &segment);
-        // Consolidate however the shard ended (complete, max_failures,
-        // cancel): its record lines are appended to the base journal
-        // verbatim, overlapping the shards still running, so only a crash
-        // ever leaves a segment that the base journal lacks.
-        journal->append_journal_records(path);
+        run_shard(parts[shard]);
       });
     }
     for (auto& worker : workers) worker.join();
   }
 
-  if (journal) {
-    journal->sync();
-    // Once the base journal is durable, drop this run's segments — and on
-    // resume every segment, whatever shard count the crashed run used.
-    std::vector<std::string> segments;
-    if (preloaded != nullptr) {
-      segments = find_shard_segments(options.journal_path);
-    } else if (shards > 1) {
-      for (unsigned shard = 0; shard < shards; ++shard)
-        segments.push_back(shard_segment_path(options.journal_path, shard, shards));
-    }
-    for (const std::string& segment : segments) {
-      std::error_code ec;
-      std::filesystem::remove(segment, ec);
-    }
-  }
+  if (journal) journal->sync();
 
   MeasurementRun run;
   run.records.reserve(fleet.size());
@@ -369,21 +335,18 @@ MeasurementRun resume_fleet(const std::string& journal_path,
   for (std::size_t i = 0; i < fleet.size(); ++i) index_of[fleet[i].probe_id] = i;
 
   std::unordered_map<std::size_t, ProbeRecord> preloaded;
-  auto absorb = [&](JournalLoadResult& loaded, const std::string& source) {
-    out.damaged += loaded.damaged;
-    for (auto& warning : loaded.warnings) out.warnings.push_back(std::move(warning));
-    if (!loaded.ok()) {
-      out.warnings.push_back(source + " unusable (" + loaded.error + ")");
-      return;
-    }
-    if (loaded.header.fingerprint != fingerprint || loaded.header.fleet_size != fleet.size()) {
-      out.warnings.push_back(
-          source +
-          " fingerprint does not match this fleet "
-          "(different seed, scale, or configuration); ignoring " +
-          std::to_string(loaded.records.size()) + " journaled records");
-      return;
-    }
+  auto loaded = load_journal(journal_path);
+  out.damaged = loaded.damaged;
+  out.warnings = std::move(loaded.warnings);
+  if (!loaded.ok()) {
+    out.warnings.push_back("journal unusable (" + loaded.error + ")");
+  } else if (loaded.header.fingerprint != fingerprint ||
+             loaded.header.fleet_size != fleet.size()) {
+    out.warnings.push_back(
+        "journal fingerprint does not match this fleet "
+        "(different seed, scale, or configuration); ignoring " +
+        std::to_string(loaded.records.size()) + " journaled records");
+  } else {
     out.journal_matched = true;
     for (auto& record : loaded.records) {
       auto it = index_of.find(record.probe_id);
@@ -401,19 +364,6 @@ MeasurementRun resume_fleet(const std::string& journal_path,
       // Last record wins if a probe was journaled twice (rewrite + append).
       preloaded[it->second] = std::move(record);
     }
-  };
-
-  auto loaded = load_journal(journal_path);
-  absorb(loaded, "journal");
-
-  // A sharded run that crashed leaves per-shard segment files next to the
-  // base journal (every return, clean or early, consolidates and removes
-  // them).
-  // Absorb every segment with a matching header — the shard count that wrote
-  // them is irrelevant, and this resume may itself use a different one.
-  for (const std::string& segment_path : find_shard_segments(journal_path)) {
-    auto segment = load_journal(segment_path);
-    absorb(segment, "journal segment " + segment_path);
   }
 
   out.reused = preloaded.size();

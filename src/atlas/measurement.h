@@ -76,12 +76,10 @@ struct MeasurementOptions {
   /// Worker count: the fleet is partitioned across this many shards by a
   /// stable hash of the probe id (atlas/sharding.h), and per-probe results
   /// are byte-identical at any count. 1 (the default) runs inline on the
-  /// calling thread and journals straight into `journal_path`. N > 1 runs
-  /// each shard on its own thread, with its own byte arena and journal
-  /// segment; each shard consolidates its segment into `journal_path` when
-  /// it ends, however the run ends (complete, max_failures, cancel), and
-  /// the run deletes the segments before it returns, so only a crash leaves
-  /// them. 0 = one shard per hardware thread; clamped to the fleet size.
+  /// calling thread. N > 1 runs each shard on its own thread, with its own
+  /// byte arena. At any count every shard appends to the one journal at
+  /// `journal_path`, so a run that crashed at one count resumes at another.
+  /// 0 = one shard per hardware thread; clamped to the fleet size.
   unsigned shards = 1;
   /// Called after each probe completes (progress reporting), under an
   /// internal mutex: calls never overlap, whatever the shard count.

@@ -1,9 +1,5 @@
 #include "atlas/sharding.h"
 
-#include <algorithm>
-#include <filesystem>
-#include <system_error>
-
 namespace dnslocate::atlas {
 namespace {
 
@@ -32,27 +28,6 @@ std::vector<std::vector<std::size_t>> partition_fleet(const std::vector<ProbeSpe
   for (std::size_t i = 0; i < fleet.size(); ++i)
     parts[shard_of(fleet[i].probe_id, shards)].push_back(i);
   return parts;
-}
-
-std::string shard_segment_path(const std::string& base, unsigned shard, unsigned shards) {
-  return base + ".shard-" + std::to_string(shard) + "-of-" + std::to_string(shards);
-}
-
-std::vector<std::string> find_shard_segments(const std::string& base) {
-  namespace fs = std::filesystem;
-  std::vector<std::string> segments;
-  fs::path base_path(base);
-  fs::path dir = base_path.parent_path();
-  if (dir.empty()) dir = ".";
-  std::string prefix = base_path.filename().string() + ".shard-";
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    std::string name = entry.path().filename().string();
-    if (name.rfind(prefix, 0) == 0) segments.push_back(entry.path().string());
-  }
-  std::sort(segments.begin(), segments.end());
-  return segments;
 }
 
 }  // namespace dnslocate::atlas

@@ -65,10 +65,9 @@ struct ServiceConfig {
   /// Largest admissible fleet (generated probes); larger plans get 413.
   std::size_t max_probes = 20000;
   /// Shards per fleet run (MeasurementOptions::shards). The pool bounds
-  /// cross-run concurrency; this bounds concurrency within one run. Above
-  /// 1, a run journals to per-shard segments that it consolidates into the
-  /// run's journal on every return, so after a clean stop the journal alone
-  /// holds the run's records.
+  /// cross-run concurrency; this bounds concurrency within one run. Every
+  /// shard appends to the run's one journal, so after any stop, crash
+  /// included, that journal holds every record the run checkpointed.
   unsigned run_threads = 1;
   /// Per-probe wall-clock budget forwarded to the supervisor (0 = none).
   std::chrono::milliseconds probe_deadline{0};

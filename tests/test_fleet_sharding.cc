@@ -3,15 +3,16 @@
 // count, because a shard decides only *where* a probe runs, never *how*.
 // Proved over the shared scenario corpus at 1, 2, 4, and 7 shards,
 // including a crashed journaled run that resumes under a *different* shard
-// count. Also pins the executor's journal-segment lifecycle and that
-// repeated multi-shard runs do not grow the heap.
+// count. Also pins that a sharded run keeps every record in its one journal
+// and that repeated multi-shard runs do not grow the heap.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -25,6 +26,7 @@
 #include "atlas/journal.h"
 #include "atlas/measurement.h"
 #include "atlas/sharding.h"
+#include "journal_files.h"
 #include "report/aggregate.h"
 #include "report/results_io.h"
 #include "scenario_corpus.h"
@@ -128,26 +130,68 @@ TEST(FleetSharding, AccuracyMatrixIsIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(FleetSharding, CleanShardedRunConsolidatesJournalSegments) {
+/// The record bytes of every line of the journal file after its header,
+/// sorted: each line is {"crc":"…","record":<journal_record_dump>}.
+std::vector<std::string> journaled_dumps(const std::string& journal) {
+  std::ifstream file(journal, std::ios::binary);
+  std::vector<std::string> out;
+  std::string line;
+  std::getline(file, line);  // header
+  const std::string key = "\",\"record\":";
+  while (std::getline(file, line)) {
+    const std::size_t at = line.find(key);
+    out.push_back(at == std::string::npos ? line
+                                          : line.substr(at + key.size(),
+                                                        line.size() - at - key.size() - 1));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// journal_record_dump of each record, sorted: what journaled_dumps must read
+/// back when the journal holds exactly these records.
+std::vector<std::string> dumps_of(const std::vector<atlas::ProbeRecord>& records) {
+  std::vector<std::string> out;
+  for (const auto& record : records) out.push_back(atlas::journal_record_dump(record));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Run `fleet` journaled into `journal`, and note in `*saw_shard_file` if a
+/// file named "<journal>.shard-*" exists beside it after any probe.
+MeasurementRun run_watching_journal(const std::vector<ProbeSpec>& fleet,
+                                    MeasurementOptions options, const std::string& journal,
+                                    bool* saw_shard_file) {
+  options.journal_path = journal;
+  options.progress = [&journal, saw_shard_file](std::size_t, std::size_t) {
+    if (!testutil::shard_files_beside(journal).empty()) *saw_shard_file = true;
+  };
+  auto run = atlas::run_fleet(fleet, options);
+  if (!testutil::shard_files_beside(journal).empty()) *saw_shard_file = true;
+  return run;
+}
+
+TEST(FleetSharding, ShardedRunKeepsEveryRecordInTheOneJournal) {
   auto fleet = corpus_fleet();
   std::string journal = ::testing::TempDir() + "sharded_clean.journal";
   std::remove(journal.c_str());
 
+  // Complete: the journal holds exactly the records the run returned, and
+  // the shards wrote nothing but the journal.
   MeasurementOptions options;
   options.shards = 4;
-  options.journal_path = journal;
-  auto run = atlas::run_fleet(fleet, options);
+  bool saw_shard_file = false;
+  auto run = run_watching_journal(fleet, options, journal, &saw_shard_file);
   ASSERT_EQ(run.records.size(), fleet.size());
-
-  // Segments were consolidated into the base journal and removed.
-  EXPECT_TRUE(atlas::find_shard_segments(journal).empty());
+  EXPECT_FALSE(saw_shard_file);
   auto loaded = atlas::load_journal(journal);
   ASSERT_TRUE(loaded.ok()) << loaded.error;
-  EXPECT_EQ(loaded.records.size(), fleet.size());
+  EXPECT_EQ(loaded.records.size(), run.records.size());
+  EXPECT_EQ(journaled_dumps(journal), dumps_of(run.records));
   EXPECT_EQ(loaded.header.fingerprint, atlas::fleet_fingerprint(fleet));
 
-  // A clean early stop consolidates too: the base journal alone holds every
-  // record the run returned, and no segment is left behind.
+  // A clean early stop: the journal holds every record the run returned,
+  // the injected failure included.
   MeasurementOptions stopped = options;
   stopped.max_failures = 1;
   const std::uint32_t doomed = fleet[fleet.size() / 2].probe_id;
@@ -155,42 +199,39 @@ TEST(FleetSharding, CleanShardedRunConsolidatesJournalSegments) {
     if (spec.probe_id == doomed) throw std::runtime_error("injected failure");
     return atlas::run_probe(spec, cancel, /*strip_raw_responses=*/true);
   };
-  auto early = atlas::run_fleet(fleet, stopped);
+  auto early = run_watching_journal(fleet, stopped, journal, &saw_shard_file);
   ASSERT_TRUE(early.stopped_early());
-  EXPECT_TRUE(atlas::find_shard_segments(journal).empty());
+  EXPECT_FALSE(saw_shard_file);
   auto early_loaded = atlas::load_journal(journal);
   ASSERT_TRUE(early_loaded.ok()) << early_loaded.error;
   EXPECT_EQ(early_loaded.records.size(), early.records.size());
+  EXPECT_EQ(journaled_dumps(journal), dumps_of(early.records));
 
-  // So does a cancelled run: nothing dispatched, nothing left on disk.
+  // A cancelled run: nothing dispatched, a journal of just its header.
   MeasurementOptions cancelled = options;
   cancelled.cancel = core::CancelToken::manual();
   cancelled.cancel.cancel();
-  auto none = atlas::run_fleet(fleet, cancelled);
+  auto none = run_watching_journal(fleet, cancelled, journal, &saw_shard_file);
   EXPECT_EQ(none.not_run, fleet.size());
-  EXPECT_TRUE(atlas::find_shard_segments(journal).empty());
+  EXPECT_FALSE(saw_shard_file);
   auto none_loaded = atlas::load_journal(journal);
   ASSERT_TRUE(none_loaded.ok()) << none_loaded.error;
   EXPECT_TRUE(none_loaded.records.empty());
 }
 
 TEST(FleetSharding, InterruptedShardedRunResumesUnderDifferentShardCount) {
-  // Large enough that shard 0 flushes a journal batch (32 records) to its
-  // segment well before it finishes.
+  // Large enough that a journal batch (32 records) reaches the journal well
+  // before shard 0 finishes.
   auto fleet = corpus_fleet(12);
   auto baseline = run_with_shards(fleet, 1);
 
   std::string journal = ::testing::TempDir() + "sharded_interrupt.journal";
   std::remove(journal.c_str());
-  for (const std::string& stale : atlas::find_shard_segments(journal))
-    std::remove(stale.c_str());
 
   // First attempt: 4 shards in a child process that dies abruptly (no
-  // unwinding, no consolidation) on shard 0's last probe, once shard 0's
-  // segment holds a journal batch. A shard consolidates only when it ends,
-  // so those records are in the segment and not in the base journal: the
-  // crash-shaped state resume must handle.
-  const std::string segment0 = atlas::shard_segment_path(journal, 0, 4);
+  // unwinding, no final sync) on shard 0's last probe, once the journal
+  // holds a batch. Every shard appends to the one journal, so what it holds
+  // at that moment is exactly what the crash left behind.
   const auto parts = atlas::partition_fleet(fleet, 4);
   ASSERT_GT(parts[0].size(), 32u);
   const std::uint32_t crash_at = fleet[parts[0].back()].probe_id;
@@ -204,7 +245,7 @@ TEST(FleetSharding, InterruptedShardedRunResumesUnderDifferentShardCount) {
     crashing.journal_path = journal;
     crashing.runner = [&](const ProbeSpec& spec, const core::CancelToken& cancel) {
       if (spec.probe_id == crash_at)
-        std::_Exit(atlas::load_journal(segment0).records.empty() ? 1 : kCrashStatus);
+        std::_Exit(atlas::load_journal(journal).records.size() >= 32 ? kCrashStatus : 1);
       return atlas::run_probe(spec, cancel, /*strip_raw_responses=*/true);
     };
     atlas::run_fleet(fleet, crashing);
@@ -214,30 +255,25 @@ TEST(FleetSharding, InterruptedShardedRunResumesUnderDifferentShardCount) {
   ASSERT_EQ(waitpid(child, &status, 0), child);
   ASSERT_TRUE(WIFEXITED(status));
   ASSERT_EQ(WEXITSTATUS(status), kCrashStatus);
-  ASSERT_FALSE(atlas::find_shard_segments(journal).empty());
-  std::set<std::uint32_t> in_base;
-  for (const auto& record : atlas::load_journal(journal).records) in_base.insert(record.probe_id);
-  const auto in_segment0 = atlas::load_journal(segment0).records;
-  ASSERT_GE(in_segment0.size(), 32u);
-  for (const auto& record : in_segment0) EXPECT_EQ(in_base.count(record.probe_id), 0u);
-  std::set<std::uint32_t> journaled = in_base;
-  for (const std::string& segment : atlas::find_shard_segments(journal))
-    for (const auto& record : atlas::load_journal(segment).records)
-      journaled.insert(record.probe_id);
+  EXPECT_TRUE(testutil::shard_files_beside(journal).empty());
+  std::set<std::uint32_t> journaled;
+  for (const auto& record : atlas::load_journal(journal).records)
+    journaled.insert(record.probe_id);
+  ASSERT_GE(journaled.size(), 32u);
+  EXPECT_EQ(journaled.count(crash_at), 0u);
 
-  // Resume under a *different* shard count (7): completed probes are
-  // reused from the segments, the rest run, and the merged result matches an
-  // uninterrupted 1-shard run at the journal's fidelity contract —
-  // byte-identical through the export paths (the journal persists the
-  // verdict summary, not the rendered evidence prose, so describe() text of
-  // reused records is not part of the contract; location, outcome, and
-  // telemetry are).
+  // Resume under a *different* shard count (7): the journaled probes are
+  // reused, the rest run, and the merged result matches an uninterrupted
+  // 1-shard run at the journal's fidelity contract — byte-identical through
+  // the export paths (the journal persists the verdict summary, not the
+  // rendered evidence prose, so describe() text of reused records is not
+  // part of the contract; location, outcome, and telemetry are).
   MeasurementOptions resumed_options;
   resumed_options.shards = 7;
   atlas::ResumeReport report;
   auto resumed = atlas::resume_fleet(journal, fleet, resumed_options, &report);
   EXPECT_TRUE(report.journal_matched);
-  EXPECT_EQ(report.reused, journaled.size());  // the segments were absorbed
+  EXPECT_EQ(report.reused, journaled.size());  // exactly what the crash left
   EXPECT_LT(report.reused, fleet.size());  // the interruption left real work
   ASSERT_EQ(resumed.records.size(), fleet.size());
   EXPECT_EQ(report::run_to_jsonl(resumed), report::run_to_jsonl(baseline));
@@ -255,9 +291,9 @@ TEST(FleetSharding, InterruptedShardedRunResumesUnderDifferentShardCount) {
         << "probe " << got.probe_id;
   }
 
-  // The resumed run completed cleanly, so it consolidated: no segments
-  // remain and the base journal alone replays the whole fleet.
-  EXPECT_TRUE(atlas::find_shard_segments(journal).empty());
+  // The resumed run completed cleanly: the journal alone replays the whole
+  // fleet, and still nothing sits beside it.
+  EXPECT_TRUE(testutil::shard_files_beside(journal).empty());
   auto loaded = atlas::load_journal(journal);
   ASSERT_TRUE(loaded.ok()) << loaded.error;
   EXPECT_EQ(loaded.records.size(), fleet.size());
@@ -315,12 +351,6 @@ TEST(FleetArena, RepeatedFourWorkerRunsDoNotGrowTheHeap) {
         << (alias ? "threads" : "shards") << " = 4: heap grew by " << (after - before)
         << " bytes over " << kRuns << " runs";
   }
-}
-
-TEST(FleetSharding, ShardSegmentPathsNameShardAndCount) {
-  EXPECT_EQ(atlas::shard_segment_path("run.journal", 0, 4), "run.journal.shard-0-of-4");
-  EXPECT_EQ(atlas::shard_segment_path("/tmp/x/run.journal", 3, 7),
-            "/tmp/x/run.journal.shard-3-of-7");
 }
 
 }  // namespace

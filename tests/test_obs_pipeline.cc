@@ -1,9 +1,17 @@
 // End-to-end observability: a measured fleet must leave registry totals
 // that agree exactly with the census sums computed from the per-record
 // structs, traces must be deterministic under the simulated clock, and a
-// run with obs disabled must leave no trace at all.
+// run with obs disabled must leave no trace at all. The journal counters
+// agree with the journal file the run wrote, at one shard and at four.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
+
+#include "atlas/journal.h"
 #include "atlas/measurement.h"
 #include "jsonio/json.h"
 #include "obs/export.h"
@@ -84,6 +92,48 @@ TEST_F(ObsPipelineTest, RegistryTotalsAgreeExactlyWithCensus) {
   // The answered-RTT histogram saw exactly the answered queries.
   EXPECT_EQ(obs::registry().histogram("transport_rtt_us").count(),
             census.telemetry.answered);
+}
+
+TEST_F(ObsPipelineTest, JournalMetricsAgreeExactlyWithTheJournalFile) {
+  obs::Config config;
+  config.metrics = true;
+  obs::enable(config);
+  auto counter = [](const char* name) { return obs::registry().counter(name).value(); };
+  auto fleet = small_fleet();
+
+  for (unsigned shards : {1u, 4u}) {
+    const std::string path =
+        ::testing::TempDir() + "obs_journal_" + std::to_string(shards) + ".journal";
+    const std::uint64_t records_before = counter("journal_records_total");
+    const std::uint64_t bytes_before = counter("journal_bytes_total");
+    const std::uint64_t fsyncs_before = counter("journal_fsyncs_total");
+
+    atlas::MeasurementOptions options;
+    options.shards = shards;
+    options.journal_path = path;
+    // No cadence fsync during the run: a clean run then syncs the header
+    // and the run end, and nothing else.
+    options.journal_sync_interval = std::chrono::hours(1);
+    auto run = atlas::run_fleet(fleet, options);
+    ASSERT_EQ(run.records.size(), fleet.size());
+
+    std::ifstream file(path, std::ios::binary);
+    const std::string text((std::istreambuf_iterator<char>(file)),
+                           std::istreambuf_iterator<char>());
+    const std::size_t header_end = text.find('\n');
+    ASSERT_NE(header_end, std::string::npos);
+    auto loaded = atlas::parse_journal(text);
+    ASSERT_TRUE(loaded.ok()) << loaded.error;
+    EXPECT_EQ(loaded.damaged, 0u);
+    EXPECT_EQ(loaded.records.size(), run.records.size()) << shards << " shards";
+
+    EXPECT_EQ(counter("journal_records_total") - records_before, loaded.records.size())
+        << shards << " shards";
+    EXPECT_EQ(counter("journal_bytes_total") - bytes_before, text.size() - (header_end + 1))
+        << shards << " shards";
+    EXPECT_EQ(counter("journal_fsyncs_total") - fsyncs_before, 2u) << shards << " shards";
+    std::remove(path.c_str());
+  }
 }
 
 TEST_F(ObsPipelineTest, DisabledRunRecordsNothing) {

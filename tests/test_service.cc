@@ -12,7 +12,7 @@
 
 #include "atlas/fleet_json.h"
 #include "atlas/measurement.h"
-#include "atlas/sharding.h"
+#include "journal_files.h"
 #include "jsonio/json.h"
 #include "obs/metrics.h"
 #include "report/results_io.h"
@@ -439,10 +439,10 @@ TEST(Service, DrainThenNewServiceResumesToByteIdenticalRecords) {
 }
 
 TEST(Service, CancelAtTwoRunThreadsThenRestartKeepsEveryMeasuredRecord) {
-  // At run_threads = 2 a run journals to per-shard segments. A user cancel
-  // finalizes the run, and after a restart its /records are read from the
-  // base journal alone — so the cancelled run must have consolidated its
-  // segments before it returned.
+  // At run_threads = 2 both shards append to the run's one journal. A user
+  // cancel finalizes the run, and after a restart its /records are read
+  // from that journal — so it must hold every record measured before the
+  // cancel, and nothing may sit beside it.
   const ScratchDir scratch("svc-cancel-shards");
   const std::string& state_dir = scratch.path();
   std::string id;
@@ -473,7 +473,7 @@ TEST(Service, CancelAtTwoRunThreadsThenRestartKeepsEveryMeasuredRecord) {
     ASSERT_TRUE(jsonl.has_value());
     before_restart = *jsonl;
   }
-  EXPECT_TRUE(atlas::find_shard_segments(state_dir + "/" + id + ".journal").empty());
+  EXPECT_TRUE(testutil::shard_files_beside(state_dir + "/" + id + ".journal").empty());
 
   ServiceConfig config;
   config.state_dir = state_dir;

@@ -2,7 +2,7 @@
 // process, submit a paced fleet, `kill -9` it mid-run, start a fresh daemon
 // on the same state directory, and assert the resumed MeasurementRun is
 // byte-identical to an uninterrupted in-process run of the same plan — at
-// one run thread (one journal) and at two (per-shard journal segments).
+// one run thread and at two, whose shards append to the run's one journal.
 // Also exercises the SIGTERM clean-drain exit path.
 //
 // The daemon binary's path arrives via the DNSLOCATED_BIN compile
@@ -17,11 +17,13 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "atlas/fleet_json.h"
 #include "atlas/journal.h"
 #include "atlas/measurement.h"
 #include "atlas/sharding.h"
+#include "journal_files.h"
 #include "report/results_io.h"
 #include "service_test_util.h"
 
@@ -100,18 +102,16 @@ void kill9_then_resume(const char* tag, unsigned run_threads, std::size_t kill_a
   ASSERT_EQ(waitpid(first, &wait_status, 0), first);
   ASSERT_TRUE(WIFSIGNALED(wait_status));
 
-  // A multi-shard run journals to per-shard segments until its shards end,
-  // so the kill leaves them behind, holding records, for the restart to
-  // absorb.
+  // Every shard appends to the run's one journal, so the kill leaves each
+  // shard's journaled records there, and nothing beside it, for the restart
+  // to reuse.
   const std::string journal = state_dir + "/" + id + ".journal";
-  if (run_threads > 1) {
-    std::size_t segment_records = 0;
-    for (const std::string& segment : atlas::find_shard_segments(journal))
-      segment_records += atlas::load_journal(segment).records.size();
-    EXPECT_GT(segment_records, 0u);
-  } else {
-    EXPECT_TRUE(atlas::find_shard_segments(journal).empty());
-  }
+  EXPECT_TRUE(testutil::shard_files_beside(journal).empty());
+  std::vector<std::size_t> journaled_by_shard(run_threads, 0);
+  for (const auto& record : atlas::load_journal(journal).records)
+    ++journaled_by_shard[atlas::shard_of(record.probe_id, run_threads)];
+  for (unsigned shard = 0; shard < run_threads; ++shard)
+    EXPECT_GT(journaled_by_shard[shard], 0u) << "shard " << shard << " of " << run_threads;
 
   // --- second daemon: same state dir; must recover and finish the run ---
   pid_t second = spawn_daemon(state_dir, port_file, run_threads);
@@ -150,7 +150,7 @@ void kill9_then_resume(const char* tag, unsigned run_threads, std::size_t kill_a
   options.shards = 1;
   const std::string uninterrupted = report::run_to_jsonl(atlas::run_fleet(parsed.generate(), options));
   EXPECT_EQ(records.body, uninterrupted);
-  EXPECT_TRUE(atlas::find_shard_segments(journal).empty());
+  EXPECT_TRUE(testutil::shard_files_beside(journal).empty());
 
   // The verdict stream saw every probe exactly once too.
   auto verdicts = http_request(port, "GET", "/v1/fleets/" + id + "/verdicts");
@@ -170,9 +170,9 @@ TEST(ServiceRestart, Kill9MidRunThenResumeIsByteIdenticalToUninterrupted) {
   kill9_then_resume("svc-kill9", 1, 60);
 }
 
-TEST(ServiceRestart, Kill9MidRunAtTwoRunThreadsResumesFromSegmentsByteIdentically) {
-  // Two shards of ~150 probes each: by 100 done, a shard has flushed a
-  // journal batch (32 records) to its segment.
+TEST(ServiceRestart, Kill9MidRunAtTwoRunThreadsResumesFromTheOneJournalByteIdentically) {
+  // Two shards of ~150 probes each: by 100 done, each shard has appended a
+  // journal batch (32 records) to the run's journal.
   kill9_then_resume("svc-kill9-shards", 2, 100);
 }
 
