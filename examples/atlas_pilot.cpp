@@ -80,9 +80,10 @@ int main(int argc, char** argv) {
   // Ctrl-C / SIGTERM drains instead of killing: in-flight probes finish,
   // the journal is fsync'd, and the run stays resumable.
   options.cancel = examples::install_signal_drain();
+  std::size_t done = 0;
   std::size_t last_percent = 0;
-  options.progress = [&](std::size_t done, std::size_t total) {
-    std::size_t percent = done * 100 / total;
+  options.on_record = [&](const atlas::ProbeRecord&) {
+    std::size_t percent = ++done * 100 / fleet.size();
     if (percent != last_percent && percent % 20 == 0) {
       std::printf("  ... %zu%%\n", percent);
       last_percent = percent;

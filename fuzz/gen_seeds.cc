@@ -202,17 +202,15 @@ std::string journal_text() {
     ok.org.asn = 7922;
     ok.tested_v6 = true;
     ok.elapsed = std::chrono::microseconds(4242);
-    writer.append(ok);
     atlas::ProbeRecord failed;
     failed.probe_id = 2;
     failed.outcome = atlas::ProbeOutcome::failed;
     failed.error = "transport exploded";
-    writer.append(failed);
     atlas::ProbeRecord late;
     late.probe_id = 3;
     late.outcome = atlas::ProbeOutcome::deadline_exceeded;
     late.verdict.skipped_stages = 0x18;  // replication + transparency bits
-    writer.append(late);
+    writer.append_batch({&ok, &failed, &late});
     writer.sync();
   }
   std::ifstream in(tmp, std::ios::binary);

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <unordered_map>
 
 #include "obs/clock.h"
 #include "obs/metrics.h"
@@ -268,19 +269,15 @@ std::string journal_record_dump(const ProbeRecord& record, bool with_elapsed) {
   std::array<std::pair<std::string_view, const core::ResolverInterception*>,
              std::tuple_size_v<decltype(core::DetectionReport::per_resolver)>>
       resolvers_by_name;
-  std::size_t count = 0;
-  for (const auto& summary : verdict.detection.per_resolver)
-    resolvers_by_name[count++] = {to_string(summary.kind), &summary};
-  std::stable_sort(resolvers_by_name.begin(),
-                   resolvers_by_name.begin() + static_cast<long>(count),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (std::size_t i = 0; i < count; ++i) {
-    // Duplicate display names (possible on default-constructed failed
-    // records) collapse to one member, the last one winning.
-    if (i + 1 < count && resolvers_by_name[i].first == resolvers_by_name[i + 1].first)
-      continue;
-    const auto& summary = *resolvers_by_name[i].second;
-    open_object(out, resolvers_by_name[i].first);
+  for (std::size_t i = 0; i < resolvers_by_name.size(); ++i) {
+    const auto& summary = verdict.detection.per_resolver[i];
+    resolvers_by_name[i] = {to_string(summary.kind), &summary};
+  }
+  std::sort(resolvers_by_name.begin(), resolvers_by_name.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [name, entry] : resolvers_by_name) {
+    const auto& summary = *entry;
+    open_object(out, name);
     emit_bool(out, "intercepted_v4", summary.intercepted_v4);
     emit_bool(out, "intercepted_v6", summary.intercepted_v6);
     emit_bool(out, "tested_v4", summary.tested_v4);
@@ -372,7 +369,6 @@ std::optional<ProbeRecord> journal_record_from_json(const Value& value) {
   for (auto kind : resolvers::all_public_resolvers()) {
     const Value& entry = detection[std::string(to_string(kind))];
     auto& summary = record.verdict.detection.per_resolver[static_cast<std::size_t>(kind)];
-    summary.kind = kind;
     summary.intercepted_v4 = entry["intercepted_v4"].as_bool();
     summary.intercepted_v6 = entry["intercepted_v6"].as_bool();
     summary.tested_v4 = entry["tested_v4"].as_bool();
@@ -471,10 +467,6 @@ std::optional<std::string_view> record_bytes(std::string_view line) {
 
 }  // namespace
 
-void JournalWriter::append(const ProbeRecord& record) {
-  append_batch({&record});
-}
-
 void JournalWriter::append_batch(const std::vector<const ProbeRecord*>& batch) {
   if (batch.empty()) return;
   obs::Span append_span("journal/append_batch");
@@ -500,7 +492,6 @@ void JournalWriter::write_lines(std::string_view lines, std::size_t records) {
   // bounds loss on power failure / kernel panic, so it can run on a much
   // coarser, time-based cadence without weakening crash tolerance.
   std::fflush(file_);
-  written_ += records;
   auto now = std::chrono::steady_clock::now();
   unsynced_ = now - last_sync_ < sync_interval_;
   if (!unsynced_) {
@@ -521,11 +512,6 @@ void JournalWriter::sync() {
 bool JournalWriter::ok() const {
   netbase::MutexLock lock(mutex_);
   return file_ != nullptr;
-}
-
-std::size_t JournalWriter::written() const {
-  netbase::MutexLock lock(mutex_);
-  return written_;
 }
 
 JournalLoadResult parse_journal(std::string_view text) {
@@ -619,6 +605,41 @@ JournalLoadResult load_journal(const std::string& path) {
     return result;
   }
   return parse_journal(*text);
+}
+
+JournalJoin join_journal(const std::string& path, const std::vector<ProbeSpec>& fleet) {
+  JournalJoin out;
+  out.slots.resize(fleet.size());
+  auto loaded = load_journal(path);
+  out.damaged = loaded.damaged;
+  out.warnings = std::move(loaded.warnings);
+  if (!loaded.ok()) {
+    out.warnings.push_back("journal unusable (" + loaded.error + ")");
+    return out;
+  }
+  if (loaded.header.fingerprint != fleet_fingerprint(fleet) ||
+      loaded.header.fleet_size != fleet.size()) {
+    out.warnings.push_back(
+        "journal fingerprint does not match this fleet "
+        "(different seed, scale, or configuration); ignoring " +
+        std::to_string(loaded.records.size()) + " journaled records");
+    return out;
+  }
+  out.matched = true;
+  std::unordered_map<std::uint32_t, std::size_t> index_of;
+  index_of.reserve(fleet.size());
+  for (std::size_t i = 0; i < fleet.size(); ++i) index_of[fleet[i].probe_id] = i;
+  for (auto& record : loaded.records) {
+    auto it = index_of.find(record.probe_id);
+    if (it == index_of.end()) {
+      out.warnings.push_back("journaled probe " + std::to_string(record.probe_id) +
+                             " is not in the fleet; dropped");
+      continue;
+    }
+    // Last record wins if a probe was journaled twice (rewrite + append).
+    out.slots[it->second] = std::move(record);
+  }
+  return out;
 }
 
 }  // namespace dnslocate::atlas

@@ -79,15 +79,13 @@ class JournalWriter {
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
 
-  void append(const ProbeRecord& record) DNSLOCATE_EXCLUDES(mutex_);
-  /// Append a batch of records with a single write to the OS: the cheap way
-  /// to checkpoint from a hot loop (one syscall per batch, not per record).
+  /// Append a batch of records with a single write to the OS (one syscall
+  /// per batch, not per record).
   void append_batch(const std::vector<const ProbeRecord*>& batch) DNSLOCATE_EXCLUDES(mutex_);
   /// Flush buffered lines and fsync.
   void sync() DNSLOCATE_EXCLUDES(mutex_);
 
   [[nodiscard]] bool ok() const DNSLOCATE_EXCLUDES(mutex_);
-  [[nodiscard]] std::size_t written() const DNSLOCATE_EXCLUDES(mutex_);
 
  private:
   /// Write already-serialized record lines (one per record) with a single
@@ -105,7 +103,6 @@ class JournalWriter {
   mutable netbase::Mutex mutex_;
   std::FILE* file_ DNSLOCATE_GUARDED_BY(mutex_) = nullptr;
   std::chrono::steady_clock::time_point last_sync_ DNSLOCATE_GUARDED_BY(mutex_){};
-  std::size_t written_ DNSLOCATE_GUARDED_BY(mutex_) = 0;
   // Some append reached the OS after the last fsync.
   bool unsynced_ DNSLOCATE_GUARDED_BY(mutex_) = false;
 };
@@ -126,5 +123,18 @@ JournalLoadResult parse_journal(std::string_view text);
 
 /// Read and parse a journal file.
 JournalLoadResult load_journal(const std::string& path);
+
+/// A journal joined to the fleet it checkpoints.
+struct JournalJoin {
+  bool matched = false;  // header matches the fleet; else every slot is empty
+  /// Slot i holds the last intact record journaled for fleet[i], if any.
+  std::vector<std::optional<ProbeRecord>> slots;
+  std::size_t damaged = 0;            // journal lines dropped by salvage
+  std::vector<std::string> warnings;  // salvage notes, mismatch, unknown ids
+};
+
+/// Read the journal at `path` and join it to `fleet`: the one join, used by
+/// resume_fleet and the daemon's history reload alike.
+JournalJoin join_journal(const std::string& path, const std::vector<ProbeSpec>& fleet);
 
 }  // namespace dnslocate::atlas

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <memory>
 #include <thread>
-#include <unordered_map>
 
 #include "atlas/journal.h"
 #include "atlas/sharding.h"
@@ -125,22 +124,13 @@ ProbeRecord supervised_run(const ProbeSpec& spec, const MeasurementOptions& opti
   return record;
 }
 
-/// Shared implementation of run_fleet and resume_fleet. `preloaded` maps
-/// fleet indices to records restored from a journal; those probes are not
-/// re-executed.
-MeasurementRun run_fleet_supervised(
-    const std::vector<ProbeSpec>& fleet, const MeasurementOptions& options,
-    const std::unordered_map<std::size_t, ProbeRecord>* preloaded) {
-  std::vector<ProbeRecord> records(fleet.size());
-  std::vector<char> completed(fleet.size(), 0);
-  std::size_t preloaded_count = 0;
-  if (preloaded != nullptr) {
-    for (const auto& [index, record] : *preloaded) {
-      records[index] = record;
-      completed[index] = 1;
-      ++preloaded_count;
-    }
-  }
+/// Shared implementation of run_fleet and resume_fleet. `records` holds one
+/// slot per fleet probe (or none at all, for a fresh run): a filled slot is
+/// a record restored from a journal, and that probe is not re-executed.
+MeasurementRun run_fleet_supervised(const std::vector<ProbeSpec>& fleet,
+                                    const MeasurementOptions& options,
+                                    std::vector<std::optional<ProbeRecord>> records) {
+  records.resize(fleet.size());
 
   std::unique_ptr<JournalWriter> journal;
   if (!options.journal_path.empty()) {
@@ -152,17 +142,17 @@ MeasurementRun run_fleet_supervised(
     // Re-journal the reused records so the journal stays self-contained and
     // a resumed run can itself be resumed.
     std::vector<const ProbeRecord*> reused;
-    for (std::size_t i = 0; i < fleet.size(); ++i)
-      if (completed[i]) reused.push_back(&records[i]);
+    for (const auto& record : records)
+      if (record) reused.push_back(&*record);
     journal->append_batch(reused);
   }
 
   // Replay restored records to the observer before any fresh probe runs:
-  // subscribers (the service's verdict stream) see every record of the run
+  // subscribers (the service's record store) see every record of the run
   // exactly once, journal-restored ones first in fleet order.
   if (options.on_record != nullptr)
-    for (std::size_t i = 0; i < fleet.size(); ++i)
-      if (completed[i]) options.on_record(records[i]);
+    for (const auto& record : records)
+      if (record) options.on_record(*record);
 
   // `threads` is the alias of `shards` (see MeasurementOptions).
   unsigned shards = options.shards != 1 ? options.shards : options.threads;
@@ -177,10 +167,9 @@ MeasurementRun run_fleet_supervised(
   // in the noise while a crash still loses at most the last batch.
   constexpr std::size_t kJournalBatch = 32;
 
-  std::atomic<std::size_t> done{preloaded_count};
   std::atomic<std::size_t> failures{0};
   std::atomic<bool> stop{false};
-  netbase::Mutex progress_mutex;
+  netbase::Mutex observer_mutex;
 
   // One shard: its probes in fleet order, checkpointed into the journal. Every
   // probe owns its simulator, seeded from its own ScenarioConfig, so the
@@ -190,24 +179,21 @@ MeasurementRun run_fleet_supervised(
     std::vector<const ProbeRecord*> batch;
     for (std::size_t i : part) {
       if (stop.load(std::memory_order_relaxed) || options.cancel.cancelled()) break;
-      if (completed[i]) continue;  // restored from the journal
-      records[i] = supervised_run(fleet[i], options);
-      completed[i] = 1;
+      if (records[i]) continue;  // restored from the journal
+      const ProbeRecord& record = records[i].emplace(supervised_run(fleet[i], options));
       if (journal) {
-        batch.push_back(&records[i]);
+        batch.push_back(&record);
         if (batch.size() >= kJournalBatch) {
           journal->append_batch(batch);
           batch.clear();
         }
       }
-      if (records[i].outcome != ProbeOutcome::ok && options.max_failures > 0 &&
+      if (record.outcome != ProbeOutcome::ok && options.max_failures > 0 &&
           failures.fetch_add(1) + 1 >= options.max_failures)
         stop.store(true, std::memory_order_relaxed);
-      std::size_t finished = done.fetch_add(1) + 1;
-      if (options.on_record || options.progress) {
-        netbase::MutexLock lock(progress_mutex);
-        if (options.on_record) options.on_record(records[i]);
-        if (options.progress) options.progress(finished, fleet.size());
+      if (options.on_record) {
+        netbase::MutexLock lock(observer_mutex);
+        options.on_record(record);
       }
     }
     if (journal) journal->append_batch(batch);
@@ -237,9 +223,9 @@ MeasurementRun run_fleet_supervised(
 
   MeasurementRun run;
   run.records.reserve(fleet.size());
-  for (std::size_t i = 0; i < fleet.size(); ++i) {
-    if (completed[i])
-      run.records.push_back(std::move(records[i]));
+  for (auto& record : records) {
+    if (record)
+      run.records.push_back(std::move(*record));
     else
       ++run.not_run;
   }
@@ -316,7 +302,7 @@ ProbeRecord run_probe(const ProbeSpec& spec, const core::CancelToken& cancel,
 
 MeasurementRun run_fleet(const std::vector<ProbeSpec>& fleet,
                          const MeasurementOptions& options) {
-  return run_fleet_supervised(fleet, options, nullptr);
+  return run_fleet_supervised(fleet, options, {});
 }
 
 MeasurementRun resume_fleet(const std::string& journal_path,
@@ -329,45 +315,22 @@ MeasurementRun resume_fleet(const std::string& journal_path,
   MeasurementOptions resumed = options;
   resumed.journal_path = journal_path;  // keep checkpointing where we resumed
 
-  std::uint64_t fingerprint = fleet_fingerprint(fleet);
-  std::unordered_map<std::uint32_t, std::size_t> index_of;
-  index_of.reserve(fleet.size());
-  for (std::size_t i = 0; i < fleet.size(); ++i) index_of[fleet[i].probe_id] = i;
-
-  std::unordered_map<std::size_t, ProbeRecord> preloaded;
-  auto loaded = load_journal(journal_path);
-  out.damaged = loaded.damaged;
-  out.warnings = std::move(loaded.warnings);
-  if (!loaded.ok()) {
-    out.warnings.push_back("journal unusable (" + loaded.error + ")");
-  } else if (loaded.header.fingerprint != fingerprint ||
-             loaded.header.fleet_size != fleet.size()) {
-    out.warnings.push_back(
-        "journal fingerprint does not match this fleet "
-        "(different seed, scale, or configuration); ignoring " +
-        std::to_string(loaded.records.size()) + " journaled records");
-  } else {
-    out.journal_matched = true;
-    for (auto& record : loaded.records) {
-      auto it = index_of.find(record.probe_id);
-      if (it == index_of.end()) {
-        out.warnings.push_back("journaled probe " + std::to_string(record.probe_id) +
-                               " is not in the fleet; dropped");
-        continue;
-      }
-      if (record.outcome != ProbeOutcome::ok) {
-        // Failures get a fresh attempt on resume: transient faults heal, and
-        // deterministic ones reproduce the same record.
-        ++out.rerun_failed;
-        continue;
-      }
-      // Last record wins if a probe was journaled twice (rewrite + append).
-      preloaded[it->second] = std::move(record);
+  JournalJoin joined = join_journal(journal_path, fleet);
+  out.journal_matched = joined.matched;
+  out.damaged = joined.damaged;
+  out.warnings = std::move(joined.warnings);
+  for (auto& slot : joined.slots) {
+    if (!slot) continue;
+    if (slot->outcome != ProbeOutcome::ok) {
+      // Failures get a fresh attempt on resume: transient faults heal, and
+      // deterministic ones reproduce the same record.
+      ++out.rerun_failed;
+      slot.reset();
+    } else {
+      ++out.reused;
     }
   }
-
-  out.reused = preloaded.size();
-  return run_fleet_supervised(fleet, resumed, &preloaded);
+  return run_fleet_supervised(fleet, resumed, std::move(joined.slots));
 }
 
 }  // namespace dnslocate::atlas

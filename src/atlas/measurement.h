@@ -81,9 +81,6 @@ struct MeasurementOptions {
   /// `journal_path`, so a run that crashed at one count resumes at another.
   /// 0 = one shard per hardware thread; clamped to the fleet size.
   unsigned shards = 1;
-  /// Called after each probe completes (progress reporting), under an
-  /// internal mutex: calls never overlap, whatever the shard count.
-  std::function<void(std::size_t done, std::size_t total)> progress;
   /// Per-probe wall-clock budget; zero = unlimited. A probe over budget is
   /// cancelled cooperatively (pipeline stage checkpoints, transport waits)
   /// and recorded as deadline_exceeded with a partial verdict.
@@ -99,12 +96,12 @@ struct MeasurementOptions {
   /// the daemon's SIGTERM path and the examples' Ctrl-C handler; a drained
   /// run resumes through resume_fleet exactly like a crashed one.
   core::CancelToken cancel;
-  /// Observer for completed records: called once per probe after supervision
+  /// The one completion observer: called once per probe after supervision
   /// (outcome, elapsed) is applied, in completion order. On resume, records
   /// restored from the journal are replayed through this first (fleet order,
   /// before any fresh probe runs), so a subscriber sees every record of the
-  /// run exactly once. Invoked under an internal mutex when the run is
-  /// concurrent; keep it cheap — it is on the fleet's critical path.
+  /// run exactly once. Calls never overlap, whatever the shard count (an
+  /// internal mutex); keep it cheap — it is on the fleet's critical path.
   std::function<void(const ProbeRecord&)> on_record;
   /// Append-only checkpoint journal (one checksummed JSONL record per
   /// completed probe); empty = no journal. See atlas/journal.h.
@@ -134,16 +131,16 @@ struct ResumeReport {
   std::vector<std::string> warnings;
 };
 
-/// Resume an interrupted journaled run: validate the journal header against
-/// `fleet` (fingerprint covers seed, scale, and per-probe configuration),
-/// reuse every intact `ok` record, and run only what is missing — failed and
-/// deadline-exceeded probes get a fresh attempt. The result is byte-identical
-/// (via report::run_to_jsonl / report::html_report) to an uninterrupted run
-/// of the same fleet. Damaged journal lines are salvaged around and a
-/// mismatched header falls back to a full re-run; both are reported in
-/// `report`. The journal at `journal_path` is rewritten (header + reused
-/// records) and then extended as the remaining probes complete, so a resumed
-/// run can itself be resumed.
+/// Resume an interrupted journaled run: join the journal to `fleet`
+/// (join_journal: the header's fingerprint covers seed, scale, and per-probe
+/// configuration), reuse every probe whose last intact record is `ok`, and
+/// run only what is missing — failed and deadline-exceeded probes get a
+/// fresh attempt. The result is byte-identical (via report::run_to_jsonl /
+/// report::html_report) to an uninterrupted run of the same fleet. Damaged
+/// journal lines are salvaged around and a mismatched header falls back to
+/// a full re-run; both are reported in `report`. The journal at
+/// `journal_path` is rewritten (header + reused records) and then extended
+/// as the remaining probes complete, so a resumed run can itself be resumed.
 MeasurementRun resume_fleet(const std::string& journal_path,
                             const std::vector<ProbeSpec>& fleet,
                             const MeasurementOptions& options = {},

@@ -61,9 +61,6 @@ DetectionReport InterceptionDetector::run(AsyncQueryTransport& engine, bool* dra
   };
   std::array<std::array<FamilyTally, 2>, 4> tally{};
 
-  for (std::size_t k = 0; k < report.per_resolver.size(); ++k)
-    report.per_resolver[k].kind = static_cast<resolvers::PublicResolverKind>(k);
-
   for (std::size_t i = 0; i < plan.size(); ++i) {
     const Planned& planned = plan[i];
     LocationProbe probe;

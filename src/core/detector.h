@@ -57,7 +57,12 @@ struct ResolverInterception {
 /// Full step-1 report.
 struct DetectionReport {
   std::vector<LocationProbe> probes;
-  std::array<ResolverInterception, 4> per_resolver{};
+  /// Indexed by kind; each entry names its kind even if detection never ran.
+  std::array<ResolverInterception, 4> per_resolver{
+      {{.kind = resolvers::PublicResolverKind::cloudflare},
+       {.kind = resolvers::PublicResolverKind::google},
+       {.kind = resolvers::PublicResolverKind::quad9},
+       {.kind = resolvers::PublicResolverKind::opendns}}};
 
   [[nodiscard]] const ResolverInterception& of(resolvers::PublicResolverKind kind) const {
     return per_resolver[static_cast<std::size_t>(kind)];

@@ -23,12 +23,6 @@ dnswire::DnsName mixed_case(const dnswire::DnsName& name) {
   return rebuilt ? *rebuilt : name;
 }
 
-bool has_opt(const dnswire::Message& message) {
-  for (const auto& rr : message.additionals)
-    if (rr.type == dnswire::RecordType::OPT) return true;
-  return false;
-}
-
 bool tc_with_answers(const QueryResult& result) {
   if (!result.answered()) return false;
   for (const auto& response : result.all_responses)
@@ -67,11 +61,7 @@ FingerprintReport FingerprintProber::run(AsyncQueryTransport& engine,
     dnswire::Message query =
         dnswire::make_query(random_query_id(ids), spec.location_query.name,
                             spec.location_query.type, spec.location_query.klass);
-    dnswire::ResourceRecord opt;
-    opt.name = dnswire::DnsName();  // root, per RFC 6891 §6.1.2
-    opt.type = dnswire::RecordType::OPT;
-    opt.rdata = dnswire::OptRecord{};
-    query.additionals.push_back(std::move(opt));
+    query.add_opt();
     batch.add(server, std::move(query), config_.query);
   }
 
@@ -85,7 +75,7 @@ FingerprintReport FingerprintProber::run(AsyncQueryTransport& engine,
   const QueryResult& edns_probe = batch.result(1);
   report.unreachable = !case_probe.answered() && !edns_probe.answered();
   report.case_folded = case_probe.arbitration.case_mismatches > 0;
-  report.edns_stripped = edns_probe.answered() && !has_opt(*edns_probe.response);
+  report.edns_stripped = edns_probe.answered() && !edns_probe.response->has_opt();
   report.tc_rewritten = tc_with_answers(case_probe) || tc_with_answers(edns_probe);
   report.vendor =
       fingerprint_vendor(report.case_folded, report.edns_stripped, report.tc_rewritten);

@@ -45,6 +45,19 @@ const ResourceRecord* Message::first_answer(RecordType type) const {
   return nullptr;
 }
 
+bool Message::has_opt() const {
+  for (const auto& rr : additionals)
+    if (rr.type == RecordType::OPT) return true;
+  return false;
+}
+
+void Message::add_opt() {
+  ResourceRecord opt;
+  opt.type = RecordType::OPT;
+  opt.rdata = OptRecord{};
+  additionals.push_back(std::move(opt));
+}
+
 std::optional<std::string> Message::first_txt() const {
   const ResourceRecord* rr = first_answer(RecordType::TXT);
   if (!rr) return std::nullopt;

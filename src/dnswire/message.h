@@ -75,6 +75,11 @@ struct Message {
   [[nodiscard]] bool is_response() const { return flags.qr; }
   [[nodiscard]] Rcode rcode() const { return flags.rcode; }
 
+  /// The additional section carries an EDNS OPT record (RFC 6891).
+  [[nodiscard]] bool has_opt() const;
+  /// Append a default OPT record, owned by the root (RFC 6891 §6.1.2).
+  void add_opt();
+
   /// Multi-line human rendering for traces and examples.
   [[nodiscard]] std::string to_string() const;
 

@@ -28,6 +28,27 @@ bool DnsServerApp::encode_to_fit(dnswire::Message& response, std::size_t limit,
   return true;
 }
 
+ServeOutcome serve_query(DnsResponder& responder, std::span<const std::uint8_t> payload,
+                         const QueryContext& context, bool udp, dnswire::WireBuffer& wire) {
+  auto query = dnswire::decode_message(payload);
+  if (!query || query->is_response()) return ServeOutcome::malformed;
+  std::optional<dnswire::Message> response = responder.respond(*query, context);
+  if (!response) return ServeOutcome::silent;
+  // RFC 6891 §6.1.1: an EDNS-aware server answers an OPT-bearing query with
+  // an OPT record of its own. The echo doubles as a middlebox canary — a
+  // DPI device that strips EDNS from queries leaves the response bare (see
+  // simnet/adversary.h), which the fingerprint probe detects.
+  if (response->is_response() && query->has_opt() && !response->has_opt())
+    response->add_opt();
+  if (!udp) {
+    wire = dnswire::encode_message(*response);
+    return ServeOutcome::answered;
+  }
+  return DnsServerApp::encode_to_fit(*response, DnsServerApp::udp_payload_limit(*query), wire)
+             ? ServeOutcome::truncated
+             : ServeOutcome::answered;
+}
+
 void DnsServerApp::on_datagram(simnet::Simulator& sim, simnet::Device& self,
                                const simnet::UdpPacket& packet) {
   // Strict-profile DoT: the client validates the certificate against the
@@ -40,44 +61,20 @@ void DnsServerApp::on_datagram(simnet::Simulator& sim, simnet::Device& self,
     return;
   }
   ++queries_seen_;
-  auto query = dnswire::decode_message(packet.payload);
-  if (!query || query->is_response()) {
-    ++malformed_dropped_;
-    return;
-  }
-  QueryContext context{packet.src, packet.dst, sim.now()};
-  std::optional<dnswire::Message> response = responder_->respond(*query, context);
-  if (!response) return;
-  // RFC 6891 §6.1.1: an EDNS-aware server answers an OPT-bearing query with
-  // an OPT record of its own. The echo doubles as a middlebox canary — a
-  // DPI device that strips EDNS from queries leaves the response bare (see
-  // simnet/adversary.h), which the fingerprint probe detects.
-  if (response->is_response()) {
-    bool query_has_opt = false;
-    for (const auto& rr : query->additionals)
-      if (rr.type == dnswire::RecordType::OPT) query_has_opt = true;
-    bool response_has_opt = false;
-    for (const auto& rr : response->additionals)
-      if (rr.type == dnswire::RecordType::OPT) response_has_opt = true;
-    if (query_has_opt && !response_has_opt) {
-      dnswire::ResourceRecord opt;
-      opt.name = dnswire::DnsName();  // root
-      opt.type = dnswire::RecordType::OPT;
-      opt.rdata = dnswire::OptRecord{};
-      response->additionals.push_back(std::move(opt));
-    }
-  }
   simnet::UdpPacket reply;
+  // DoT is stream-based; size limits apply to plain UDP only.
+  switch (serve_query(*responder_, packet.payload, {packet.src, packet.dst, sim.now()},
+                      packet.channel == simnet::Channel::udp, reply.payload)) {
+    case ServeOutcome::malformed: ++malformed_dropped_; return;
+    case ServeOutcome::silent: return;
+    case ServeOutcome::truncated: ++truncated_; break;
+    case ServeOutcome::answered: break;
+  }
   reply.src = packet.dst;  // answer from the address the client targeted
   reply.dst = packet.src;
   reply.sport = packet.dport;
   reply.dport = packet.sport;
   reply.channel = packet.channel;
-  // DoT is stream-based; size limits apply to plain UDP only.
-  if (packet.channel != simnet::Channel::udp)
-    reply.payload = dnswire::encode_message(*response);
-  else if (encode_to_fit(*response, udp_payload_limit(*query), reply.payload))
-    ++truncated_;
   reply.trace_id = packet.trace_id;
   ++responses_sent_;
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "dnswire/encoder.h"
 #include "dnswire/message.h"
@@ -29,7 +30,18 @@ class DnsResponder {
                                                   const QueryContext& context) = 0;
 };
 
-/// UDP app that decodes queries, consults a responder, and sends replies
+/// What serve_query did with one request.
+enum class ServeOutcome : std::uint8_t { malformed, silent, answered, truncated };
+
+/// One server turn, shared by DnsServerApp and the loopback socket server:
+/// decode `payload`, drop what is not a query (malformed), ask `responder`
+/// (silent if it declines), echo an OPT record when the query carried one
+/// (RFC 6891 §6.1.1) and encode the answer into `wire`. With `udp`, an
+/// answer over the query's payload limit is truncated (RFC 2181 §9).
+ServeOutcome serve_query(DnsResponder& responder, std::span<const std::uint8_t> payload,
+                         const QueryContext& context, bool udp, dnswire::WireBuffer& wire);
+
+/// UDP app that serves each query through serve_query and sends the reply
 /// sourced from the address the query was addressed to. Responses larger
 /// than the client's advertised EDNS payload size (512 octets without an
 /// OPT record, RFC 1035/6891) are truncated: answers stripped, TC set.

@@ -79,6 +79,11 @@ bool valid_tenant(std::string_view tenant) {
   return true;
 }
 
+bool terminal(RunState state) {
+  return state == RunState::completed || state == RunState::cancelled ||
+         state == RunState::failed;
+}
+
 std::optional<RunState> run_state_from(std::string_view name) {
   if (name == "queued") return RunState::queued;
   if (name == "running") return RunState::running;
@@ -124,14 +129,21 @@ struct MeasurementService::Run {
   RunState state DNSLOCATE_GUARDED_BY(mutex) = RunState::queued;
   bool user_cancelled DNSLOCATE_GUARDED_BY(mutex) = false;
   bool stream_finished DNSLOCATE_GUARDED_BY(mutex) = false;
-  bool history_loaded DNSLOCATE_GUARDED_BY(mutex) = false;
-  bool from_disk_history DNSLOCATE_GUARDED_BY(mutex) = false;  // finished by a previous process
+  /// `lines` holds every published record. False for a run finished by a
+  /// previous process or spilled by retention, until a reader reloads the
+  /// lines from the journal (ensure_lines_resident).
+  bool lines_resident DNSLOCATE_GUARDED_BY(mutex) = true;
   std::size_t probes_total DNSLOCATE_GUARDED_BY(mutex) = 0;
-  std::size_t done_probes_from_marker DNSLOCATE_GUARDED_BY(mutex) = 0;  // historical runs, pre-load
-  std::size_t done_not_run_from_marker DNSLOCATE_GUARDED_BY(mutex) = 0;
-  std::vector<std::string> verdict_lines
-      DNSLOCATE_GUARDED_BY(mutex);  // NDJSON, publication order
-  std::optional<atlas::MeasurementRun> result DNSLOCATE_GUARDED_BY(mutex);
+  /// Records published (== verdict seq), counted live or read from the done
+  /// marker; spills and reloads leave it alone.
+  std::size_t probes_done DNSLOCATE_GUARDED_BY(mutex) = 0;
+  std::size_t not_run DNSLOCATE_GUARDED_BY(mutex) = 0;
+  /// The run's one record store: each published record's export line
+  /// (report::probe_to_json) at its fleet position, "" until published, and
+  /// the positions in publication order. /verdicts reads the lines in
+  /// publication order, /records in fleet order.
+  std::vector<std::string> lines DNSLOCATE_GUARDED_BY(mutex);
+  std::vector<std::size_t> published DNSLOCATE_GUARDED_BY(mutex);
   std::string error DNSLOCATE_GUARDED_BY(mutex);
   jsonio::Value census DNSLOCATE_GUARDED_BY(mutex);  // null until terminal
 };
@@ -185,8 +197,8 @@ void MeasurementService::recover_state_dir() {
     run->probes_total = static_cast<std::size_t>((*manifest)["probes_total"].as_int(0));
     if (fs::exists(run->done_path)) {
       // Finished by a previous process: status comes from the marker,
-      // records lazily from the journal (ensure_history_loaded).
-      run->from_disk_history = true;
+      // records lazily from the journal (ensure_lines_resident).
+      run->lines_resident = false;
       run->stream_finished = true;
       run->state = RunState::completed;
       if (auto done_text = read_file(run->done_path)) {
@@ -194,10 +206,8 @@ void MeasurementService::recover_state_dir() {
           if (auto state = run_state_from((*done)["state"].as_string())) run->state = *state;
           run->census = (*done)["census"];
           run->error = (*done)["error"].as_string();
-          run->done_probes_from_marker =
-              static_cast<std::size_t>((*done)["probes_done"].as_int(0));
-          run->done_not_run_from_marker =
-              static_cast<std::size_t>((*done)["not_run"].as_int(0));
+          run->probes_done = static_cast<std::size_t>((*done)["probes_done"].as_int(0));
+          run->not_run = static_cast<std::size_t>((*done)["not_run"].as_int(0));
         }
       }
     } else {
@@ -410,7 +420,11 @@ void MeasurementService::execute(const std::shared_ptr<Run>& run) {
     {
       netbase::MutexLock lock(run->mutex);
       run->probes_total = fleet.size();
+      run->lines.resize(fleet.size());
     }
+    std::unordered_map<std::uint32_t, std::size_t> position;  // probe id -> fleet index
+    position.reserve(fleet.size());
+    for (std::size_t i = 0; i < fleet.size(); ++i) position[fleet[i].probe_id] = i;
 
     atlas::MeasurementOptions options;
     options.strip_raw_responses = true;
@@ -418,9 +432,13 @@ void MeasurementService::execute(const std::shared_ptr<Run>& run) {
     options.probe_deadline = config_.probe_deadline;
     options.journal_path = run->journal_path;
     options.cancel = run->cancel;
-    options.on_record = [run](const atlas::ProbeRecord& record) {
+    options.on_record = [run, &position](const atlas::ProbeRecord& record) {
+      std::string line = report::probe_to_json(record);
+      const std::size_t at = position.at(record.probe_id);
       netbase::MutexLock lock(run->mutex);
-      run->verdict_lines.push_back(report::probe_to_json(record));
+      run->lines[at] = std::move(line);
+      run->published.push_back(at);
+      ++run->probes_done;
     };
     if (run->pace.count() > 0) {
       // Pacing spreads a simulated fleet over wall-clock time (drain and
@@ -451,32 +469,32 @@ void MeasurementService::execute(const std::shared_ptr<Run>& run) {
       netbase::MutexLock lock(run->mutex);
       run->error = e.what();
     }
-    finalize(run, RunState::failed);
+    finalize(run, RunState::failed, nullptr);
     return;
   }
 
   bool user_cancelled = false;
-  bool stopped_early = measured.stopped_early();
   {
     netbase::MutexLock lock(run->mutex);
-    run->result = std::move(measured);
+    run->not_run = measured.not_run;
     user_cancelled = run->user_cancelled;
   }
   if (user_cancelled) {
-    finalize(run, RunState::cancelled);
+    finalize(run, RunState::cancelled, &measured);
     return;
   }
-  if (draining_.load(std::memory_order_relaxed) && stopped_early) {
+  if (draining_.load(std::memory_order_relaxed) && measured.stopped_early()) {
     // Interrupted by process drain, not by the operator: keep the manifest
     // un-marked so the next start resumes this run where the journal ends.
     netbase::MutexLock lock(run->mutex);
     run->stream_finished = true;
     return;
   }
-  finalize(run, RunState::completed);
+  finalize(run, RunState::completed, &measured);
 }
 
-void MeasurementService::finalize(const std::shared_ptr<Run>& run, RunState state) {
+void MeasurementService::finalize(const std::shared_ptr<Run>& run, RunState state,
+                                  const atlas::MeasurementRun* measured) {
   jsonio::Object done;
   done["format"] = "dnslocate-done";
   done["id"] = run->id;
@@ -485,15 +503,11 @@ void MeasurementService::finalize(const std::shared_ptr<Run>& run, RunState stat
     netbase::MutexLock lock(run->mutex);
     run->state = state;
     run->stream_finished = true;
-    std::size_t not_run = 0;
-    if (run->result) {
-      run->census = census_to_json(report::run_census(*run->result));
-      not_run = run->result->not_run;
-    }
+    if (measured != nullptr) run->census = census_to_json(report::run_census(*measured));
     if (!run->error.empty()) done["error"] = run->error;
     done["census"] = run->census;
-    done["probes_done"] = static_cast<std::uint64_t>(run->verdict_lines.size());
-    done["not_run"] = static_cast<std::uint64_t>(not_run);
+    done["probes_done"] = static_cast<std::uint64_t>(run->probes_done);
+    done["not_run"] = static_cast<std::uint64_t>(run->not_run);
   }
   write_file_sync(run->done_path, jsonio::Value(std::move(done)).dump() + "\n");
   note_terminal_resident(run->id);
@@ -512,19 +526,15 @@ void MeasurementService::note_terminal_resident(const std::string& id) {
     }
   }
   // Spill outside mutex_: the victims' records are durable (journal + done
-  // marker), so drop the in-memory copies and flip them to the lazy-reload
-  // path a historical run already takes.
+  // marker), so drop the lines and flip them to the lazy-reload path a
+  // historical run already takes.
   for (const auto& victim : victims) {
     netbase::MutexLock run_lock(victim->mutex);
-    if (victim->state == RunState::queued || victim->state == RunState::running)
+    if (!terminal(victim->state))
       continue;  // raced with a resubmit of the same id: never spill live runs
-    victim->done_probes_from_marker = victim->verdict_lines.size();
-    if (victim->result) victim->done_not_run_from_marker = victim->result->not_run;
-    victim->verdict_lines.clear();
-    victim->verdict_lines.shrink_to_fit();
-    victim->result.reset();
-    victim->from_disk_history = true;
-    victim->history_loaded = false;
+    victim->lines = {};
+    victim->published = {};
+    victim->lines_resident = false;
   }
 }
 
@@ -542,10 +552,8 @@ RunStatus MeasurementService::snapshot(const Run& run) const {
   status.state = run.state;
   status.recovered = run.recovered;
   status.probes_total = run.probes_total;
-  status.probes_done = (run.from_disk_history && !run.history_loaded)
-                           ? run.done_probes_from_marker
-                           : run.verdict_lines.size();
-  status.not_run = run.result ? run.result->not_run : run.done_not_run_from_marker;
+  status.probes_done = run.probes_done;
+  status.not_run = run.not_run;
   status.error = run.error;
   status.census = run.census;
   return status;
@@ -575,67 +583,47 @@ bool MeasurementService::cancel(const std::string& id) {
   if (!run) return false;
   {
     netbase::MutexLock lock(run->mutex);
-    if (run->state == RunState::completed || run->state == RunState::cancelled ||
-        run->state == RunState::failed)
-      return true;  // already terminal: cancel is idempotent
+    if (terminal(run->state)) return true;  // already terminal: cancel is idempotent
     run->user_cancelled = true;
   }
   run->cancel.cancel();
   return true;
 }
 
-void MeasurementService::ensure_history_loaded(Run& run) {
-  bool resident = false;
+void MeasurementService::ensure_lines_resident(Run& run) {
   {
     netbase::MutexLock lock(run.mutex);
-    if (!run.from_disk_history) return;
-    if (run.history_loaded) {
-      resident = true;  // refresh retention order below
-    } else {
-      run.history_loaded = true;
-      resident = true;
-
-      // Rebuild the fleet from the manifest plan so records come back in
-      // fleet order — the same order run_to_jsonl would have used in the
-      // process that measured them.
-      auto plan = atlas::fleet_from_json(run.plan_json);
-      if (plan.ok()) {
-        const auto fleet = plan.generate();
-        auto journal = atlas::load_journal(run.journal_path);
-        std::unordered_map<std::uint32_t, const atlas::ProbeRecord*> by_id;
-        by_id.reserve(journal.records.size());
-        for (const auto& record : journal.records) by_id[record.probe_id] = &record;
-
-        atlas::MeasurementRun result;
-        result.records.reserve(journal.records.size());
-        for (const auto& spec : fleet) {
-          auto it = by_id.find(spec.probe_id);
-          if (it != by_id.end()) result.records.push_back(*it->second);
-        }
-        result.not_run = fleet.size() - result.records.size();
-        run.verdict_lines.clear();
-        run.verdict_lines.reserve(result.records.size());
-        for (const auto& record : result.records)
-          run.verdict_lines.push_back(report::probe_to_json(record));
-        run.result = std::move(result);
+    if (run.lines_resident) return;
+    run.lines_resident = true;
+    // Rebuild the fleet from the manifest plan and join the journal to it:
+    // the lines come back in fleet order, and a journal whose header does
+    // not match the plan yields none.
+    auto plan = atlas::fleet_from_json(run.plan_json);
+    if (plan.ok()) {
+      auto joined = atlas::join_journal(run.journal_path, plan.generate());
+      run.lines.resize(joined.slots.size());
+      for (std::size_t i = 0; i < joined.slots.size(); ++i) {
+        if (!joined.slots[i]) continue;
+        run.lines[i] = report::probe_to_json(*joined.slots[i]);
+        run.published.push_back(i);
       }
     }
   }
-  // Reloaded records are resident again: re-enter the retention order (with
+  // Reloaded lines are resident again: re-enter the retention order (with
   // no lock held — note_terminal_resident takes mutex_ then run mutexes).
-  if (resident) note_terminal_resident(run.id);
+  note_terminal_resident(run.id);
 }
 
 std::optional<VerdictPage> MeasurementService::verdicts(const std::string& id,
                                                         std::size_t from_seq) {
   auto run = find(id);
   if (!run) return std::nullopt;
-  ensure_history_loaded(*run);  // no-op unless spilled/historical (checks under the run lock)
+  ensure_lines_resident(*run);
   netbase::MutexLock lock(run->mutex);
   VerdictPage page;
-  for (std::size_t seq = from_seq; seq < run->verdict_lines.size(); ++seq)
-    page.lines.push_back(run->verdict_lines[seq]);
-  page.next_seq = run->verdict_lines.size();
+  for (std::size_t seq = from_seq; seq < run->published.size(); ++seq)
+    page.lines.push_back(run->lines[run->published[seq]]);
+  page.next_seq = run->published.size();
   page.finished = run->stream_finished;
   return page;
 }
@@ -643,12 +631,13 @@ std::optional<VerdictPage> MeasurementService::verdicts(const std::string& id,
 std::optional<std::string> MeasurementService::records_jsonl(const std::string& id) {
   auto run = find(id);
   if (!run) return std::nullopt;
-  ensure_history_loaded(*run);  // no-op unless spilled/historical (checks under the run lock)
+  ensure_lines_resident(*run);
   netbase::MutexLock lock(run->mutex);
-  const bool terminal = run->state == RunState::completed ||
-                        run->state == RunState::cancelled || run->state == RunState::failed;
-  if (!terminal || !run->result) return std::nullopt;
-  return report::run_to_jsonl(*run->result);
+  if (!terminal(run->state)) return std::nullopt;
+  std::string out;
+  for (const std::string& line : run->lines)
+    if (!line.empty()) out.append(line).push_back('\n');
+  return out;
 }
 
 bool MeasurementService::draining() const {

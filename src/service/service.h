@@ -18,9 +18,14 @@
 // process never finished — startup recovery re-queues it through
 // atlas::resume_fleet, which replays the journal's intact records and runs
 // only what is missing, and its status reports `recovered: true`. Because
-// report::run_to_jsonl is wall-clock-free, the recovered run's records are
-// byte-identical to an uninterrupted run of the same plan (proved in
-// tests/test_service_restart.cc).
+// the export line (report::probe_to_json) is wall-clock-free, the recovered
+// run's records are byte-identical to an uninterrupted run of the same plan
+// (proved in tests/test_service_restart.cc).
+//
+// A run holds each record once, as its export line: the verdict stream
+// reads the lines in publication order and /records in fleet order. Spilled
+// lines (ServiceConfig::retain_terminal_runs) reload through
+// atlas::join_journal, the join resume_fleet uses.
 //
 // Graceful drain (the daemon's SIGTERM path) fires every active run's
 // CancelToken: in-flight probes finish and are journaled, journals are
@@ -71,9 +76,9 @@ struct ServiceConfig {
   unsigned run_threads = 1;
   /// Per-probe wall-clock budget forwarded to the supervisor (0 = none).
   std::chrono::milliseconds probe_deadline{0};
-  /// How many terminal runs keep their verdict lines / records resident in
-  /// memory. Older terminal runs are spilled (their journal and done marker
-  /// stay durable on disk) and reloaded on demand, so a long-lived daemon's
+  /// How many terminal runs keep their record lines resident in memory.
+  /// Older terminal runs are spilled (their journal and done marker stay
+  /// durable on disk) and reloaded on demand, so a long-lived daemon's
   /// memory stays bounded regardless of how many runs it has served.
   std::size_t retain_terminal_runs = 16;
 };
@@ -163,9 +168,10 @@ class MeasurementService {
                                                     std::size_t from_seq)
       DNSLOCATE_EXCLUDES(mutex_);
 
-  /// The full fleet-order record set as JSONL (report::run_to_jsonl) for a
-  /// terminal run; nullopt while the run is still queued/running or for an
-  /// unknown id. This is the byte-identity surface: equal, byte for byte,
+  /// The full fleet-order record set as JSONL (the verdict lines joined in
+  /// fleet order, equal to report::run_to_jsonl of the run) for a terminal
+  /// run; nullopt while the run is still queued/running or for an unknown
+  /// id. This is the byte-identity surface: equal, byte for byte,
   /// to an uninterrupted in-process run of the same plan.
   [[nodiscard]] std::optional<std::string> records_jsonl(const std::string& id)
       DNSLOCATE_EXCLUDES(mutex_);
@@ -190,15 +196,16 @@ class MeasurementService {
   void worker_loop() DNSLOCATE_EXCLUDES(mutex_);
   void execute(const std::shared_ptr<Run>& run) DNSLOCATE_EXCLUDES(mutex_);
   void recover_state_dir() DNSLOCATE_EXCLUDES(mutex_);
-  void finalize(const std::shared_ptr<Run>& run, RunState state)
-      DNSLOCATE_EXCLUDES(mutex_);
+  /// `measured` (null when the runner threw) gives the census.
+  void finalize(const std::shared_ptr<Run>& run, RunState state,
+                const atlas::MeasurementRun* measured) DNSLOCATE_EXCLUDES(mutex_);
   [[nodiscard]] std::shared_ptr<Run> find(const std::string& id) const
       DNSLOCATE_EXCLUDES(mutex_);
   [[nodiscard]] RunStatus snapshot(const Run& run) const;
-  /// Lazily materialize verdict lines / records for a run completed by a
-  /// *previous* process — or spilled by retention (we hold its journal, not
-  /// its memory).
-  void ensure_history_loaded(Run& run) DNSLOCATE_EXCLUDES(mutex_);
+  /// Reload the record lines of a run completed by a *previous* process — or
+  /// spilled by retention (we hold its journal, not its memory) — through
+  /// atlas::join_journal. A no-op while the lines are resident.
+  void ensure_lines_resident(Run& run) DNSLOCATE_EXCLUDES(mutex_);
   /// Record `id` as the most recently resident terminal run and spill the
   /// oldest residents beyond ServiceConfig::retain_terminal_runs. Callers
   /// must hold neither mutex_ nor any run mutex (declared lock order:

@@ -10,7 +10,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "dnswire/decoder.h"
 #include "dnswire/encoder.h"
 #include "netbase/arena.h"
 
@@ -70,10 +69,6 @@ void LoopbackDnsServer::serve_udp_datagram() {
                          &from_len);
   if (n <= 0) return;
 
-  auto query = dnswire::decode_message({buffer, static_cast<std::size_t>(n)});
-  if (!query || query->is_response()) return;
-  ++queries_served_;
-
   resolvers::QueryContext context;
   if (from.ss_family == AF_INET) {
     const auto* sa = reinterpret_cast<const sockaddr_in*>(&from);
@@ -83,12 +78,12 @@ void LoopbackDnsServer::serve_udp_datagram() {
   }
   context.server_ip = endpoint_.address;
 
-  auto response = responder_->respond(*query, context);
-  if (!response) return;
-  // UDP answers obey the advertised payload limit.
   dnswire::WireBuffer wire;
-  resolvers::DnsServerApp::encode_to_fit(
-      *response, resolvers::DnsServerApp::udp_payload_limit(*query), wire);
+  auto outcome = resolvers::serve_query(*responder_, {buffer, static_cast<std::size_t>(n)},
+                                        context, /*udp=*/true, wire);
+  if (outcome == resolvers::ServeOutcome::malformed) return;
+  ++queries_served_;
+  if (outcome == resolvers::ServeOutcome::silent) return;
   if (response_delay_.count() > 0) {
     // Hold the answer in the deferred queue; the serve loop flushes it when
     // due, so other clients' queries keep being ingested in the meantime.
@@ -131,22 +126,17 @@ void LoopbackDnsServer::serve_tcp_connection() {
     std::size_t length = static_cast<std::size_t>(prefix[0]) << 8 | prefix[1];
     std::vector<std::uint8_t> body(length);
     if (length > 0 && read_all(body.data(), length)) {
-      auto query = dnswire::decode_message(body);
-      if (query && !query->is_response()) {
-        ++tcp_queries_served_;
-        resolvers::QueryContext context;
-        context.client = netbase::Ipv4Address(127, 0, 0, 1);
-        context.server_ip = endpoint_.address;
-        auto response = responder_->respond(*query, context);
-        if (response) {
-          // No truncation over TCP (RFC 7766).
-          dnswire::WireBuffer wire = dnswire::encode_message(*response);
-          std::vector<std::uint8_t> framed;
-          framed.push_back(static_cast<std::uint8_t>(wire.size() >> 8));
-          framed.push_back(static_cast<std::uint8_t>(wire.size() & 0xff));
-          framed.insert(framed.end(), wire.begin(), wire.end());
-          ::send(conn, framed.data(), framed.size(), MSG_NOSIGNAL);
-        }
+      resolvers::QueryContext context;
+      context.client = netbase::Ipv4Address(127, 0, 0, 1);
+      context.server_ip = endpoint_.address;
+      dnswire::WireBuffer wire;
+      auto outcome = resolvers::serve_query(*responder_, body, context, /*udp=*/false, wire);
+      if (outcome != resolvers::ServeOutcome::malformed) ++tcp_queries_served_;
+      if (outcome == resolvers::ServeOutcome::answered) {
+        std::vector<std::uint8_t> framed{static_cast<std::uint8_t>(wire.size() >> 8),
+                                         static_cast<std::uint8_t>(wire.size() & 0xff)};
+        framed.insert(framed.end(), wire.begin(), wire.end());
+        ::send(conn, framed.data(), framed.size(), MSG_NOSIGNAL);
       }
     }
   }

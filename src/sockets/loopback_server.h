@@ -1,7 +1,7 @@
-// An in-process UDP DNS server bound to 127.0.0.1, backed by the same
-// DnsResponder behaviours as the simulator. Lets the socket transport and
-// the full pipeline be exercised end-to-end over real sockets in tests,
-// with no network access.
+// An in-process UDP DNS server bound to 127.0.0.1, serving the simulator's
+// DnsResponder behaviours through its server turn (resolvers::serve_query).
+// Lets the socket transport and the full pipeline be exercised end-to-end
+// over real sockets in tests, with no network access.
 #pragma once
 
 #include <sys/socket.h>

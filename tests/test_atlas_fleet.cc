@@ -153,12 +153,12 @@ TEST(Measurement, ParallelRunMatchesSequential) {
 
   MeasurementOptions parallel;
   parallel.shards = 4;
-  std::size_t progress_calls = 0;
-  parallel.progress = [&](std::size_t, std::size_t) { ++progress_calls; };
+  std::size_t record_calls = 0;  // on_record calls never overlap
+  parallel.on_record = [&](const ProbeRecord&) { ++record_calls; };
   auto b = run_fleet(fleet, parallel);
 
   ASSERT_EQ(a.records.size(), b.records.size());
-  EXPECT_EQ(progress_calls, fleet.size());
+  EXPECT_EQ(record_calls, fleet.size());
   for (std::size_t i = 0; i < a.records.size(); ++i) {
     EXPECT_EQ(a.records[i].probe_id, b.records[i].probe_id);
     EXPECT_EQ(a.records[i].verdict.location, b.records[i].verdict.location);

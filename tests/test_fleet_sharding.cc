@@ -163,7 +163,7 @@ MeasurementRun run_watching_journal(const std::vector<ProbeSpec>& fleet,
                                     MeasurementOptions options, const std::string& journal,
                                     bool* saw_shard_file) {
   options.journal_path = journal;
-  options.progress = [&journal, saw_shard_file](std::size_t, std::size_t) {
+  options.on_record = [&journal, saw_shard_file](const atlas::ProbeRecord&) {
     if (!testutil::shard_files_beside(journal).empty()) *saw_shard_file = true;
   };
   auto run = atlas::run_fleet(fleet, options);

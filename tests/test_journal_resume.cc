@@ -28,7 +28,6 @@
 #include "report/aggregate.h"
 #include "report/html_report.h"
 #include "report/results_io.h"
-#include "resolvers/public_resolver.h"
 
 namespace dnslocate {
 namespace {
@@ -81,13 +80,11 @@ atlas::ProbeRecord quoted_deadline_record() {
   failed.outcome = atlas::ProbeOutcome::deadline_exceeded;
   failed.error = "probe exceeded its deadline of 50ms\n\t\"partial\"";
   failed.verdict.skipped_stages = 0b111;
-  for (auto kind : resolvers::all_public_resolvers())
-    failed.verdict.detection.per_resolver[static_cast<std::size_t>(kind)].kind = kind;
   return failed;
 }
 
-/// A crashed probe's record: its default-constructed verdict gives every
-/// per_resolver entry the same display name, and the dump collapses them.
+/// A crashed probe's record: a default-constructed verdict, whose detection
+/// report still names all four resolvers.
 atlas::ProbeRecord crashed_record() {
   atlas::ProbeRecord crashed;
   crashed.probe_id = 100;
@@ -206,6 +203,19 @@ TEST(Journal, RecordRoundTripsThroughJson) {
   EXPECT_EQ(failed_restored->outcome, atlas::ProbeOutcome::failed);
   EXPECT_EQ(failed_restored->error, "injected crash");
   EXPECT_EQ(failed_restored->verdict.skipped_stages, 0b110);
+}
+
+TEST(Journal, FailedRecordDumpIsAFixpoint) {
+  // A failed probe keeps a default-constructed verdict; dumping its reload
+  // must give the bytes that were journaled.
+  atlas::ProbeRecord failed;
+  failed.outcome = atlas::ProbeOutcome::failed;
+  const std::string dump = atlas::journal_record_dump(failed);
+  auto value = jsonio::parse(dump);
+  ASSERT_TRUE(value.has_value());
+  auto restored = atlas::journal_record_from_json(*value);
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(atlas::journal_record_dump(*restored), dump);
 }
 
 TEST(Journal, KillAndResumeIsByteIdentical) {
@@ -369,8 +379,6 @@ TEST(ResultsIo, SupervisionFieldsRoundTripThroughJsonl) {
   failed.org = {"X (AS1)", 1, "US"};
   failed.outcome = atlas::ProbeOutcome::failed;
   failed.error = "injected crash";
-  for (auto kind : resolvers::all_public_resolvers())
-    failed.verdict.detection.per_resolver[static_cast<std::size_t>(kind)].kind = kind;
   run.records.push_back(failed);
 
   atlas::ProbeRecord late = run.records[0];

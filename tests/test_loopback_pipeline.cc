@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/describe.h"
+#include "core/fingerprint.h"
 #include "dnswire/debug_queries.h"
 #include "core/mapped_transport.h"
 #include "core/pipeline.h"
@@ -62,6 +63,27 @@ TEST(LoopbackPipeline, CleanWorldOverRealSockets) {
       << core::describe(verdict);
   for (const auto& probe : verdict.detection.probes)
     EXPECT_EQ(probe.verdict, core::LocationVerdict::standard) << probe.display;
+}
+
+TEST(LoopbackPipeline, CleanPathFingerprintNamesNoVendor) {
+  // Nothing sits between the prober and the resolver, so the OPT-bearing
+  // probe's answer must carry the server's RFC 6891 OPT echo.
+  const PublicResolverKind kind = PublicResolverKind::cloudflare;
+  sockets::LoopbackDnsServer server(
+      std::make_shared<resolvers::PublicResolverBehavior>(kind, 0, 0));
+  sockets::UdpEngine udp;
+  core::MappedBatchTransport transport(udp);
+  transport.map_address(resolvers::PublicResolverSpec::get(kind).service_v4[0],
+                        server.endpoint());
+
+  core::FingerprintProber::Config config;
+  config.query = fast_query();
+  auto report = core::FingerprintProber(config).run(transport, kind);
+  EXPECT_FALSE(report.unreachable);
+  EXPECT_FALSE(report.case_folded);
+  EXPECT_FALSE(report.edns_stripped);
+  EXPECT_FALSE(report.tc_rewritten);
+  EXPECT_EQ(report.vendor, "");
 }
 
 TEST(LoopbackPipeline, InterceptedWorldOverRealSockets) {

@@ -557,6 +557,82 @@ TEST(Service, TerminalRunRetentionSpillsAndReloadsFromJournal) {
   EXPECT_EQ(*svc.records_jsonl(b.id), baseline_jsonl(plan_b));
 }
 
+TEST(Service, CutOffRunServesTheSameRecordsBeforeAndAfterASpill) {
+  // A 1 ms budget against a 4 ms pace cuts every probe off before
+  // detection: each record carries a default detection report, which the
+  // reload must reproduce byte for byte.
+  const ScratchDir scratch("svc-cutoff-spill");
+  ServiceConfig config;
+  config.state_dir = scratch.path();
+  config.retain_terminal_runs = 1;
+  config.probe_deadline = std::chrono::milliseconds(1);
+  MeasurementService svc(config);
+
+  const std::string plan = paced_plan("erin", 4, 4);
+  auto a = svc.submit(plan);
+  ASSERT_EQ(a.status, 202) << a.error;
+  ASSERT_TRUE(wait_for_state(svc, a.id, RunState::completed));
+  auto resident = svc.records_jsonl(a.id);
+  ASSERT_TRUE(resident.has_value());
+  auto census = svc.status(a.id)->census;
+  EXPECT_EQ(census["deadline_exceeded"].as_int(), 4);
+
+  // Completing a second run spills the first; its records come back from
+  // the journal. The drain joins the worker, so the spill has happened.
+  auto b = svc.submit(plan);
+  ASSERT_EQ(b.status, 202) << b.error;
+  ASSERT_TRUE(wait_for_state(svc, b.id, RunState::completed));
+  svc.drain();
+  auto reloaded = svc.records_jsonl(a.id);
+  ASSERT_TRUE(reloaded.has_value());
+  EXPECT_EQ(reloaded->size(), resident->size());
+  EXPECT_EQ(*reloaded, *resident);
+}
+
+TEST(Service, HistoryJournalOfAnotherPlanServesNoRecords) {
+  // Two runs whose fleets share probe ids but not a fingerprint. Once the
+  // second run's journal sits under the first run's name, the first run's
+  // history must not serve the second run's records.
+  const ScratchDir scratch("svc-foreign-journal");
+  const std::string& state_dir = scratch.path();
+  const std::string plan_a =
+      R"({"seed": 41, "orgs": [{"org": "HomeNet", "asn": 64740, "country": "US",
+           "probes": 6}]})";
+  const std::string plan_b =
+      R"({"seed": 42, "orgs": [{"org": "HomeNet", "asn": 64740, "country": "US",
+           "probes": 6}]})";
+  std::string a_id, b_id;
+  {
+    ServiceConfig config;
+    config.state_dir = state_dir;
+    MeasurementService svc(config);
+    auto a = svc.submit(plan_a);
+    auto b = svc.submit(plan_b);
+    ASSERT_EQ(a.status, 202) << a.error;
+    ASSERT_EQ(b.status, 202) << b.error;
+    a_id = a.id;
+    b_id = b.id;
+    ASSERT_TRUE(wait_for_state(svc, a_id, RunState::completed));
+    ASSERT_TRUE(wait_for_state(svc, b_id, RunState::completed));
+    ASSERT_FALSE(svc.records_jsonl(b_id)->empty());
+    svc.drain();
+  }
+  std::filesystem::copy_file(state_dir + "/" + b_id + ".journal",
+                             state_dir + "/" + a_id + ".journal",
+                             std::filesystem::copy_options::overwrite_existing);
+
+  ServiceConfig config;
+  config.state_dir = state_dir;
+  MeasurementService svc(config);
+  auto jsonl = svc.records_jsonl(a_id);
+  ASSERT_TRUE(jsonl.has_value());
+  EXPECT_EQ(*jsonl, "");
+  auto page = svc.verdicts(a_id, 0);
+  ASSERT_TRUE(page.has_value());
+  EXPECT_TRUE(page->lines.empty());
+  EXPECT_EQ(*svc.records_jsonl(b_id), baseline_jsonl(plan_b));
+}
+
 // --- metrics / census agreement ---
 
 TEST(Service, MetricsTotalsAgreeWithRunCensusToTheDigit) {
