@@ -40,8 +40,6 @@ struct CpeStyle {
 
   /// Whether this style diverts LAN DNS (the DNAT rule exists).
   [[nodiscard]] bool intercepts() const;
-  /// Whether port 53 answers on the CPE at all.
-  [[nodiscard]] bool port53_open() const { return kind != Kind::benign_closed; }
 };
 
 /// Adversaries layered onto the probe's world (all inactive by default;

@@ -131,8 +131,6 @@ struct RunCensus {
   };
   std::vector<ProbeNote> slowest;   // top-N by elapsed, descending
   std::vector<ProbeNote> failures;  // first N non-ok probes with error text
-
-  [[nodiscard]] std::size_t failure_count() const { return failed + deadline_exceeded; }
 };
 
 RunCensus run_census(const atlas::MeasurementRun& run, std::size_t top_n = 5);

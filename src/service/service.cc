@@ -133,6 +133,10 @@ struct MeasurementService::Run {
   /// previous process or spilled by retention, until a reader reloads the
   /// lines from the journal (ensure_lines_resident).
   bool lines_resident DNSLOCATE_GUARDED_BY(mutex) = true;
+  /// The done marker has been written, so the journal holds every record
+  /// the run will have and retention may spill `lines`. Set before the
+  /// terminal state is published.
+  bool done_durable DNSLOCATE_GUARDED_BY(mutex) = false;
   std::size_t probes_total DNSLOCATE_GUARDED_BY(mutex) = 0;
   /// Records published (== verdict seq), counted live or read from the done
   /// marker; spills and reloads leave it alone.
@@ -199,6 +203,7 @@ void MeasurementService::recover_state_dir() {
       // Finished by a previous process: status comes from the marker,
       // records lazily from the journal (ensure_lines_resident).
       run->lines_resident = false;
+      run->done_durable = true;
       run->stream_finished = true;
       run->state = RunState::completed;
       if (auto done_text = read_file(run->done_path)) {
@@ -501,16 +506,25 @@ void MeasurementService::finalize(const std::shared_ptr<Run>& run, RunState stat
   done["state"] = std::string(to_string(state));
   {
     netbase::MutexLock lock(run->mutex);
-    run->state = state;
-    run->stream_finished = true;
     if (measured != nullptr) run->census = census_to_json(report::run_census(*measured));
     if (!run->error.empty()) done["error"] = run->error;
     done["census"] = run->census;
     done["probes_done"] = static_cast<std::uint64_t>(run->probes_done);
     done["not_run"] = static_cast<std::uint64_t>(run->not_run);
   }
+  // The marker is durable, and older runs are spilled, before any reader can
+  // see the terminal state: a crash after a client saw the run finish must
+  // not resume it. This run sits at the back of the retention order, so its
+  // own spill pass never picks it.
   write_file_sync(run->done_path, jsonio::Value(std::move(done)).dump() + "\n");
+  {
+    netbase::MutexLock lock(run->mutex);
+    run->done_durable = true;
+  }
   note_terminal_resident(run->id);
+  netbase::MutexLock lock(run->mutex);
+  run->state = state;
+  run->stream_finished = true;
 }
 
 void MeasurementService::note_terminal_resident(const std::string& id) {
@@ -530,8 +544,9 @@ void MeasurementService::note_terminal_resident(const std::string& id) {
   // historical run already takes.
   for (const auto& victim : victims) {
     netbase::MutexLock run_lock(victim->mutex);
-    if (!terminal(victim->state))
-      continue;  // raced with a resubmit of the same id: never spill live runs
+    // A run another finalize has just listed is spillable once its marker
+    // is durable, published or not; a resubmit of the same id never is.
+    if (!victim->done_durable) continue;
     victim->lines = {};
     victim->published = {};
     victim->lines_resident = false;

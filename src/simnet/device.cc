@@ -1,17 +1,10 @@
 #include "simnet/device.h"
 
-#include <atomic>
-
 #include "simnet/simulator.h"
 
 namespace dnslocate::simnet {
 
-Device::Device(std::string name) : name_(std::move(name)), id_(next_id()) {}
-
-std::uint64_t Device::next_id() {
-  static std::atomic<std::uint64_t> counter{0};
-  return ++counter;
-}
+Device::Device(std::string name) : name_(std::move(name)) {}
 
 void Device::add_local_ip(const netbase::IpAddress& addr) {
   if (!has_local_ip(addr)) local_ips_.push_back(addr);
@@ -29,11 +22,27 @@ std::optional<netbase::IpAddress> Device::local_ip(netbase::IpFamily family) con
   return std::nullopt;
 }
 
-void Device::bind_udp(std::uint16_t port, UdpApp* app) { udp_bindings_[port] = app; }
+void Device::bind_udp(std::uint16_t port, UdpApp* app) {
+  for (auto& [bound, bound_app] : udp_bindings_) {
+    if (bound == port) {
+      bound_app = app;
+      return;
+    }
+  }
+  udp_bindings_.emplace_back(port, app);
+}
 
-void Device::unbind_udp(std::uint16_t port) { udp_bindings_.erase(port); }
+void Device::unbind_udp(std::uint16_t port) {
+  std::erase_if(udp_bindings_, [port](const auto& binding) { return binding.first == port; });
+}
 
-bool Device::is_udp_bound(std::uint16_t port) const { return udp_bindings_.contains(port); }
+bool Device::is_udp_bound(std::uint16_t port) const { return bound_app(port) != nullptr; }
+
+UdpApp* Device::bound_app(std::uint16_t port) const {
+  for (const auto& [bound, app] : udp_bindings_)
+    if (bound == port) return app;
+  return nullptr;
+}
 
 void Device::add_route(const netbase::Prefix& prefix, PortId out_port) {
   routes_.insert(prefix, out_port);
@@ -84,8 +93,8 @@ void Device::receive(Simulator& sim, UdpPacket packet, PortId in_port) {
 
 void Device::deliver_or_forward(Simulator& sim, UdpPacket&& packet) {
   if (has_local_ip(packet.dst)) {
-    auto it = udp_bindings_.find(packet.dport);
-    if (it == udp_bindings_.end()) {
+    UdpApp* app = bound_app(packet.dport);
+    if (app == nullptr) {
       ++counters_.dropped;
       ++sim.drops().no_listener;
       sim.trace_event(*this, TraceEvent::dropped_no_listener, packet);
@@ -93,7 +102,7 @@ void Device::deliver_or_forward(Simulator& sim, UdpPacket&& packet) {
     }
     ++counters_.delivered;
     sim.trace_event(*this, TraceEvent::delivered, packet);
-    it->second->on_datagram(sim, *this, packet);
+    app->on_datagram(sim, *this, packet);
     return;
   }
   if (!forwarding_) {

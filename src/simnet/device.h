@@ -14,7 +14,7 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "netbase/lpm.h"
@@ -69,7 +69,6 @@ class Device {
   Device& operator=(const Device&) = delete;
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] std::uint64_t id() const { return id_; }
 
   // --- configuration ---
 
@@ -131,12 +130,21 @@ class Device {
   bool run_prerouting(Simulator& sim, UdpPacket& packet, std::optional<PortId> in_port);
   bool run_postrouting(Simulator& sim, UdpPacket& packet, PortId out_port);
 
-  static std::uint64_t next_id();
+  [[nodiscard]] UdpApp* bound_app(std::uint16_t port) const;
+
+  // The simulator that connected this device, and the device's ordinal
+  // there (connect() order). The ordinal indexes that simulator's port
+  // table and keys the device's fault-plan links; Simulator sets both. A
+  // device is linked into one simulator for its whole life.
+  friend class Simulator;
+  const Simulator* linked_sim_ = nullptr;
+  std::uint32_t ordinal_ = 0;
 
   std::string name_;
-  std::uint64_t id_;
   std::vector<netbase::IpAddress> local_ips_;
-  std::unordered_map<std::uint16_t, UdpApp*> udp_bindings_;
+  /// (port, app) pairs: a device binds at most a handful of ports, so a
+  /// linear scan beats hashing.
+  std::vector<std::pair<std::uint16_t, UdpApp*>> udp_bindings_;
   netbase::LpmTable<PortId> routes_;
   std::vector<std::shared_ptr<PacketHook>> hooks_;
   Counters counters_;

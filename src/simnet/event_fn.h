@@ -60,6 +60,12 @@ class EventFn {
 
   void operator()() { vtable_->invoke(target()); }
 
+  /// Destroy the callable, leaving this EventFn empty.
+  void reset() noexcept {
+    if (vtable_ != nullptr) vtable_->destroy(target());
+    vtable_ = nullptr;
+  }
+
  private:
   template <typename Fn>
   static constexpr bool fits_inline = sizeof(Fn) <= kInlineCapacity &&
@@ -102,11 +108,6 @@ class EventFn {
       storage_.heap = other.storage_.heap;
     }
     other.vtable_ = nullptr;
-  }
-
-  void reset() noexcept {
-    if (vtable_ != nullptr) vtable_->destroy(target());
-    vtable_ = nullptr;
   }
 
   union Storage {

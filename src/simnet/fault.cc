@@ -35,22 +35,16 @@ const FaultProfile& FaultPlan::profile_for(const std::string& fault_class) const
   return default_profile_;
 }
 
-FaultPlan::LinkState& FaultPlan::state_for(std::uint64_t link_key) {
-  auto it = links_.find(link_key);
-  if (it != links_.end()) return it->second;
-  // Seed the link's stream from (plan seed, link key) so draws on one link
-  // never perturb another's, whatever order links first see traffic.
+FaultPlan::LinkState FaultPlan::link_state(std::uint64_t link_key) const {
   LinkState state;
   state.rng = Rng(seed_ ^ (link_key * 0x9e3779b97f4a7c15ull + 0x2545f4914f6cdd1dull));
-  return links_.emplace(link_key, std::move(state)).first->second;
+  return state;
 }
 
-FaultPlan::Decision FaultPlan::decide(std::uint64_t link_key, const std::string& fault_class,
+FaultPlan::Decision FaultPlan::decide(const FaultProfile& profile, LinkState& state,
                                       const UdpPacket& packet) {
   Decision decision;
-  const FaultProfile& profile = profile_for(fault_class);
   if (!profile.active()) return decision;
-  LinkState& state = state_for(link_key);
 
   // Advance the Gilbert–Elliott chain once per packet, then sample the
   // state's loss probability.

@@ -62,18 +62,40 @@ struct FaultProfile {
 /// Seeded fault-injection plan consulted by Simulator::transmit for every
 /// packet crossing a link. Profiles are selected by the link's
 /// `LinkConfig::fault_class` tag; links with no matching class fall back to
-/// the default profile.
+/// the default profile. The plan holds the profiles, the seed and the
+/// tallies; each directed link's own state (LinkState) lives with the link.
 class FaultPlan {
  public:
   explicit FaultPlan(std::uint64_t seed = 1) : seed_(seed) {}
 
   /// Profile applied to links whose fault_class has no explicit override.
-  void set_default_profile(FaultProfile profile) { default_profile_ = profile; }
+  void set_default_profile(FaultProfile profile) {
+    default_profile_ = profile;
+    ++generation_;
+  }
   /// Profile for one class of links ("lan", "access", "isp", "transit").
   void set_class_profile(const std::string& fault_class, FaultProfile profile) {
     class_profiles_[fault_class] = profile;
+    ++generation_;
   }
+  /// The profile a link of `fault_class` gets. The reference stays valid
+  /// for the plan's lifetime; what it should be changes when generation()
+  /// does.
   [[nodiscard]] const FaultProfile& profile_for(const std::string& fault_class) const;
+  /// Bumped by every profile change, so a link that cached profile_for()
+  /// sees the change on its next packet, also after its first transmit.
+  [[nodiscard]] std::uint64_t generation() const { return generation_; }
+
+  /// One directed link's fault state: its Gilbert–Elliott state and its own
+  /// random stream.
+  struct LinkState {
+    Rng rng{0};
+    bool bad = false;  // Gilbert–Elliott state
+  };
+  /// Fresh state for the directed link `link_key`. The stream is seeded
+  /// from (plan seed, link key), so draws on one link never perturb
+  /// another's, whatever order links first see traffic.
+  [[nodiscard]] LinkState link_state(std::uint64_t link_key) const;
 
   /// What the plan decided for one packet on one directed link.
   struct Decision {
@@ -85,10 +107,9 @@ class FaultPlan {
     std::optional<std::size_t> truncate_to;
   };
 
-  /// Advance the link's fault state machine for `packet` and decide its
-  /// fate. `link_key` identifies the directed link (transmitter id, port).
-  Decision decide(std::uint64_t link_key, const std::string& fault_class,
-                  const UdpPacket& packet);
+  /// Advance one link's fault state machine for `packet` under `profile`
+  /// (the link's profile_for() result) and decide its fate.
+  Decision decide(const FaultProfile& profile, LinkState& state, const UdpPacket& packet);
 
   /// Per-cause tallies (complementing simnet::DropCounters, which counts
   /// only drops: these also count the non-drop faults).
@@ -106,16 +127,10 @@ class FaultPlan {
   void reset_counters() { counters_ = Counters{}; }
 
  private:
-  struct LinkState {
-    Rng rng{0};
-    bool bad = false;  // Gilbert–Elliott state
-  };
-  LinkState& state_for(std::uint64_t link_key);
-
   std::uint64_t seed_;
+  std::uint64_t generation_ = 1;
   FaultProfile default_profile_;
   std::unordered_map<std::string, FaultProfile> class_profiles_;
-  std::unordered_map<std::uint64_t, LinkState> links_;
   Counters counters_;
 };
 

@@ -1,28 +1,80 @@
 #include "simnet/simulator.h"
 
+#include <stdexcept>
+
 #include "obs/metrics.h"
 
 namespace dnslocate::simnet {
 
 Simulator::Simulator(std::uint64_t seed) : rng_(seed) {}
 
-std::uint64_t Simulator::ordinal_of(const Device& device) {
-  auto [it, inserted] = ordinals_.try_emplace(device.id(), ordinals_.size());
-  return it->second;
+std::uint32_t Simulator::ordinal_of(Device& device) {
+  if (device.linked_sim_ == this) return device.ordinal_;
+  if (device.linked_sim_ != nullptr)
+    throw std::logic_error("Simulator::connect: device " + device.name() +
+                           " is linked in another simulator");
+  device.linked_sim_ = this;
+  device.ordinal_ = static_cast<std::uint32_t>(ports_.size());
+  ports_.emplace_back();
+  return device.ordinal_;
 }
 
 std::pair<PortId, PortId> Simulator::connect(Device& a, Device& b, LinkConfig config) {
-  ordinal_of(a);
-  ordinal_of(b);
-  PortId a_port = next_port_[a.id()]++;
-  PortId b_port = next_port_[b.id()]++;
-  links_[PortKey{a.id(), a_port}] = PortPeer{&b, b_port, config};
-  links_[PortKey{b.id(), b_port}] = PortPeer{&a, a_port, config};
+  std::uint32_t a_ordinal = ordinal_of(a);
+  std::uint32_t b_ordinal = ordinal_of(b);
+  // Ports are indices into the device's table; a device linked to itself
+  // takes the next two.
+  auto a_port = static_cast<PortId>(ports_[a_ordinal].size());
+  auto b_port = static_cast<PortId>(ports_[b_ordinal].size()) + (a_ordinal == b_ordinal);
+  auto link_end = [&](std::uint32_t ordinal, PortId port, Device& peer, PortId peer_port) {
+    PortPeer end;
+    end.peer = &peer;
+    end.peer_port = peer_port;
+    end.config = config;
+    if (faults_ != nullptr) end.fault_state = faults_->link_state(link_key(ordinal, port));
+    return end;
+  };
+  ports_[a_ordinal].push_back(link_end(a_ordinal, a_port, b, b_port));
+  ports_[b_ordinal].push_back(link_end(b_ordinal, b_port, a, a_port));
   return {a_port, b_port};
 }
 
+void Simulator::set_fault_plan(FaultPlan* plan) {
+  faults_ = plan;
+  if (plan == nullptr) return;
+  for (std::uint32_t ordinal = 0; ordinal < ports_.size(); ++ordinal) {
+    std::vector<PortPeer>& ports = ports_[ordinal];
+    for (PortId port = 0; port < ports.size(); ++port) {
+      ports[port].fault_state = plan->link_state(link_key(ordinal, port));
+      ports[port].fault_generation = 0;  // resolve the profile on the next packet
+    }
+  }
+}
+
+std::uint32_t Simulator::acquire_slot() {
+  if (!free_slots_.empty()) {
+    std::uint32_t index = free_slots_.back();
+    free_slots_.pop_back();
+    return index;
+  }
+  if (slots_made_ == slot_chunks_.size() * kSlotChunk) {
+    slot_chunks_.push_back(std::make_unique_for_overwrite<EventFn[]>(kSlotChunk));
+    // Every slot can be free at once; reserving here keeps release_slot
+    // from allocating.
+    free_slots_.reserve(slot_chunks_.size() * kSlotChunk);
+  }
+  return slots_made_++;
+}
+
+void Simulator::release_slot(std::uint32_t index) noexcept {
+  slot(index).reset();
+  free_slots_.push_back(index);
+}
+
 void Simulator::schedule(SimDuration delay, EventFn fn) {
-  queue_.push(Event{now_ + delay, ++seq_counter_, std::move(fn)});
+  std::uint32_t index = acquire_slot();
+  slot(index) = std::move(fn);
+  queue_.push(Scheduled{now_ + delay, ++seq_counter_, index});
 }
 
 void Simulator::transmit(Device& from, PortId port, UdpPacket packet) {
@@ -30,12 +82,11 @@ void Simulator::transmit(Device& from, PortId port, UdpPacket packet) {
     static obs::Counter& transmits = obs::registry().counter("simnet_transmits_total");
     transmits.add_always(1);
   }
-  auto it = links_.find(PortKey{from.id(), port});
-  if (it == links_.end()) {
+  if (from.linked_sim_ != this || port >= ports_[from.ordinal_].size()) {
     trace_event(from, TraceEvent::dropped_no_route, packet, "unconnected port");
     return;
   }
-  PortPeer& peer = it->second;
+  PortPeer& peer = ports_[from.ordinal_][port];
   if (peer.config.loss_rate > 0 && rng_.bernoulli(peer.config.loss_rate)) {
     ++drops_.link_loss;
     trace_event(from, TraceEvent::dropped_loss, packet);
@@ -46,8 +97,11 @@ void Simulator::transmit(Device& from, PortId port, UdpPacket packet) {
   SimDuration fault_delay{0};
   bool duplicate = false;
   if (faults_ != nullptr) {
-    std::uint64_t link_key = ordinal_of(from) * 1000003ull + port;
-    FaultPlan::Decision decision = faults_->decide(link_key, peer.config.fault_class, packet);
+    if (peer.fault_generation != faults_->generation()) {
+      peer.fault_profile = &faults_->profile_for(peer.config.fault_class);
+      peer.fault_generation = faults_->generation();
+    }
+    FaultPlan::Decision decision = faults_->decide(*peer.fault_profile, peer.fault_state, packet);
     if (decision.drop) {
       if (decision.burst)
         ++drops_.fault_burst;
@@ -100,7 +154,7 @@ void Simulator::transmit(Device& from, PortId port, UdpPacket packet) {
   if (duplicate) {
     // The copy rides behind the original; it is byte-identical, as a
     // network-duplicated datagram would be.
-    SimDuration gap = faults_->profile_for(peer.config.fault_class).duplicate_gap;
+    SimDuration gap = peer.fault_profile->duplicate_gap;
     schedule(delivery + gap, [this, to, to_port, pkt = packet]() mutable {
       to->receive(*this, std::move(pkt), to_port);
     });
@@ -127,12 +181,17 @@ bool Simulator::step() {
     static obs::Counter& events = obs::registry().counter("simnet_events_total");
     events.add_always(1);
   }
-  // priority_queue::top is const; the handler is moved out via const_cast,
-  // which is safe because the element is popped immediately after.
-  Event event = std::move(const_cast<Event&>(queue_.top()));
+  Scheduled next = queue_.top();
   queue_.pop();
-  now_ = event.at;
-  event.fn();
+  now_ = next.at;
+  // The handler runs in its slot, which goes back to the free list only
+  // afterwards (also if it throws): events it schedules take other slots.
+  struct Release {
+    Simulator& sim;
+    std::uint32_t index;
+    ~Release() { sim.release_slot(index); }
+  } release{*this, next.slot};
+  slot(next.slot)();
   return true;
 }
 

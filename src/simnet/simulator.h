@@ -5,10 +5,8 @@
 
 #include <concepts>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <queue>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,6 +37,9 @@ struct LinkConfig {
 class Simulator {
  public:
   explicit Simulator(std::uint64_t seed = 1);
+  // Devices and pending events point back at their simulator.
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
   [[nodiscard]] SimTime now() const { return now_; }
   Rng& rng() { return rng_; }
@@ -81,7 +82,9 @@ class Simulator {
   [[nodiscard]] TraceSink* trace() const { return trace_; }
 
   /// Optional fault-injection plan (not owned). Null disables injection.
-  void set_fault_plan(FaultPlan* plan) { faults_ = plan; }
+  /// Attaching a plan starts every link's fault stream afresh; profiles
+  /// may still change afterwards and apply from the next packet.
+  void set_fault_plan(FaultPlan* plan);
   [[nodiscard]] FaultPlan* fault_plan() const { return faults_; }
 
   /// Per-cause drop tally, always on (devices report their drops here too).
@@ -103,48 +106,61 @@ class Simulator {
   }
 
  private:
-  struct Event {
+  /// A queued event: its time, its FIFO tie-break and the slab slot its
+  /// handler waits in. The heap orders these PODs; handlers never move.
+  struct Scheduled {
     SimTime at;
     std::uint64_t seq;  // FIFO tie-break for determinism
-    EventFn fn;
+    std::uint32_t slot;
   };
   struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Scheduled& a, const Scheduled& b) const {
       return a.at != b.at ? a.at > b.at : a.seq > b.seq;
     }
   };
+  /// One directed link end: where a packet sent out of this port goes, the
+  /// transmitter's queue state, and the link's fault state under the
+  /// attached plan.
   struct PortPeer {
     Device* peer = nullptr;
     PortId peer_port = 0;
     LinkConfig config;
     SimTime busy_until{};  // transmitter state (per direction)
-  };
-  struct PortKey {
-    std::uint64_t device_id;
-    PortId port;
-    friend bool operator==(const PortKey&, const PortKey&) = default;
-  };
-  struct PortKeyHash {
-    std::size_t operator()(const PortKey& k) const noexcept {
-      return std::hash<std::uint64_t>{}(k.device_id * 1000003ull + k.port);
-    }
+    /// faults_->profile_for(config.fault_class), valid while
+    /// fault_generation equals the plan's generation().
+    const FaultProfile* fault_profile = nullptr;
+    std::uint64_t fault_generation = 0;
+    FaultPlan::LinkState fault_state;
   };
 
-  /// Per-simulator device ordinal, assigned in connect() order. Fault-plan
-  /// link keys are built from this (not Device::id(), which comes from a
-  /// process-wide counter and so varies with thread interleaving when many
-  /// simulators run concurrently).
-  std::uint64_t ordinal_of(const Device& device);
+  /// Handler slab: fixed-size chunks, so a slot's address never changes
+  /// and a handler runs in place while it schedules more events.
+  static constexpr std::uint32_t kSlotChunk = 64;
+  EventFn& slot(std::uint32_t index) {
+    return slot_chunks_[index / kSlotChunk][index % kSlotChunk];
+  }
+  std::uint32_t acquire_slot();
+  void release_slot(std::uint32_t index) noexcept;
+
+  /// Fault-plan key of the directed link out of `port` on the device with
+  /// `ordinal`. The ordinal is per simulator, in connect() order, so the
+  /// key does not depend on how many simulators run concurrently.
+  static std::uint64_t link_key(std::uint32_t ordinal, PortId port) {
+    return ordinal * 1000003ull + port;
+  }
+  std::uint32_t ordinal_of(Device& device);
 
   SimTime now_ = kSimStart;
   Rng rng_;
   std::uint64_t seq_counter_ = 0;
   std::uint64_t trace_counter_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  std::priority_queue<Scheduled, std::vector<Scheduled>, EventLater> queue_;
+  std::vector<std::unique_ptr<EventFn[]>> slot_chunks_;
+  std::uint32_t slots_made_ = 0;
+  std::vector<std::uint32_t> free_slots_;
   std::vector<std::unique_ptr<Device>> devices_;
-  std::unordered_map<PortKey, PortPeer, PortKeyHash> links_;
-  std::unordered_map<std::uint64_t, PortId> next_port_;  // per-device allocator
-  std::unordered_map<std::uint64_t, std::uint64_t> ordinals_;  // device id -> ordinal
+  /// Port table: ports_[ordinal][port] for every connected device.
+  std::vector<std::vector<PortPeer>> ports_;
   TraceSink* trace_ = nullptr;
   FaultPlan* faults_ = nullptr;
   DropCounters drops_;

@@ -56,6 +56,11 @@ LoopbackDnsServer::LoopbackDnsServer(std::shared_ptr<resolvers::DnsResponder> re
 
 LoopbackDnsServer::~LoopbackDnsServer() {
   running_.store(false);
+  // Wake the serve thread's poll instead of waiting out its 50 ms slice:
+  // after shutdown() the sockets poll readable (POLLHUP), even the
+  // unconnected UDP one, for which the call itself reports ENOTCONN.
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+  if (tcp_fd_ >= 0) ::shutdown(tcp_fd_, SHUT_RDWR);
   if (thread_.joinable()) thread_.join();
   if (fd_ >= 0) ::close(fd_);
   if (tcp_fd_ >= 0) ::close(tcp_fd_);

@@ -36,12 +36,13 @@ TEST(FaultProfile, EmpiricalLossAndBurstLengthMatch) {
   FaultPlan plan(77);
   plan.set_default_profile(FaultProfile::burst_loss(0.05, 4.0));
   auto packet = dns_response();
+  FaultPlan::LinkState link = plan.link_state(1);
 
   int drops = 0, bursts = 0;
   bool in_burst = false;
   constexpr int kPackets = 50'000;
   for (int i = 0; i < kPackets; ++i) {
-    auto decision = plan.decide(1, "", packet);
+    auto decision = plan.decide(plan.profile_for(""), link, packet);
     if (decision.drop) {
       ++drops;
       if (!in_burst) ++bursts;
@@ -69,9 +70,11 @@ TEST(FaultPlan, SameSeedReplaysIdentically) {
   b.set_default_profile(profile);
 
   auto packet = dns_response();
+  FaultPlan::LinkState link_a = a.link_state(9);
+  FaultPlan::LinkState link_b = b.link_state(9);
   for (int i = 0; i < 2'000; ++i) {
-    auto da = a.decide(9, "", packet);
-    auto db = b.decide(9, "", packet);
+    auto da = a.decide(a.profile_for(""), link_a, packet);
+    auto db = b.decide(b.profile_for(""), link_b, packet);
     ASSERT_EQ(da.drop, db.drop) << "packet " << i;
     ASSERT_EQ(da.burst, db.burst);
     ASSERT_EQ(da.duplicate, db.duplicate);
@@ -93,12 +96,17 @@ TEST(FaultPlan, LinksDrawIndependentStreams) {
   interleaved.set_default_profile(profile);
 
   auto packet = dns_response();
+  FaultPlan::LinkState solo_2 = solo.link_state(2);
+  FaultPlan::LinkState mixed_1 = interleaved.link_state(1);
+  FaultPlan::LinkState mixed_2 = interleaved.link_state(2);
   std::vector<bool> solo_drops, mixed_drops;
-  for (int i = 0; i < 1'000; ++i) solo_drops.push_back(solo.decide(2, "", packet).drop);
+  for (int i = 0; i < 1'000; ++i)
+    solo_drops.push_back(solo.decide(solo.profile_for(""), solo_2, packet).drop);
   for (int i = 0; i < 1'000; ++i) {
-    (void)interleaved.decide(1, "", packet);  // extra traffic on another link
-    mixed_drops.push_back(interleaved.decide(2, "", packet).drop);
-    (void)interleaved.decide(1, "", packet);
+    // extra traffic on another link
+    (void)interleaved.decide(interleaved.profile_for(""), mixed_1, packet);
+    mixed_drops.push_back(interleaved.decide(interleaved.profile_for(""), mixed_2, packet).drop);
+    (void)interleaved.decide(interleaved.profile_for(""), mixed_1, packet);
   }
   EXPECT_EQ(solo_drops, mixed_drops);
 }
@@ -115,8 +123,9 @@ TEST(FaultPlan, ClassProfilesSelectPerLink) {
   EXPECT_FALSE(plan.profile_for("").active());
 
   auto packet = dns_response();
+  FaultPlan::LinkState link = plan.link_state(5);
   for (int i = 0; i < 100; ++i)
-    EXPECT_FALSE(plan.decide(5, "transit", packet).drop);
+    EXPECT_FALSE(plan.decide(plan.profile_for("transit"), link, packet).drop);
 }
 
 TEST(FaultPlan, TruncationChopsOnlyDnsResponses) {
@@ -126,8 +135,9 @@ TEST(FaultPlan, TruncationChopsOnlyDnsResponses) {
   plan.set_default_profile(profile);
 
   auto response = dns_response(100);
+  FaultPlan::LinkState link = plan.link_state(1);
   for (int i = 0; i < 50; ++i) {
-    auto decision = plan.decide(1, "", response);
+    auto decision = plan.decide(plan.profile_for(""), link, response);
     ASSERT_TRUE(decision.truncate_to.has_value());
     EXPECT_GE(*decision.truncate_to, 1u);
     EXPECT_LT(*decision.truncate_to, 100u);
@@ -138,7 +148,7 @@ TEST(FaultPlan, TruncationChopsOnlyDnsResponses) {
   UdpPacket query = dns_response(100);
   query.sport = 40000;
   query.dport = netbase::kDnsPort;
-  EXPECT_FALSE(plan.decide(1, "", query).truncate_to.has_value());
+  EXPECT_FALSE(plan.decide(plan.profile_for(""), link, query).truncate_to.has_value());
   EXPECT_EQ(plan.counters().truncated, 50u);
 }
 
@@ -151,7 +161,8 @@ TEST(FaultPlan, JitterAndReorderExtendDelivery) {
   plan.set_default_profile(profile);
 
   auto packet = dns_response();
-  auto decision = plan.decide(1, "", packet);
+  FaultPlan::LinkState link = plan.link_state(1);
+  auto decision = plan.decide(plan.profile_for(""), link, packet);
   EXPECT_FALSE(decision.drop);
   EXPECT_GE(decision.extra_delay, std::chrono::milliseconds(8));
   EXPECT_LT(decision.extra_delay, std::chrono::milliseconds(10));

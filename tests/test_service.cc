@@ -6,7 +6,9 @@
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -307,6 +309,43 @@ TEST(Service, RunCompletesWithStreamedVerdictsAndByteIdenticalRecords) {
   auto jsonl = svc.records_jsonl(submitted.id);
   ASSERT_TRUE(jsonl.has_value());
   EXPECT_EQ(*jsonl, baseline_jsonl(kSmallPlan));
+}
+
+TEST(Service, CompletedIsNeverSeenBeforeTheDoneMarkerIsOnDisk) {
+  // A client that reads `completed` must find the run's done marker durable:
+  // a crash between the two would otherwise resume a run the client already
+  // saw finish. Back-to-back one-probe runs, each polled without pause.
+  const ScratchDir scratch("svc-done-order");
+  ServiceConfig config;
+  config.state_dir = scratch.path();
+  MeasurementService svc(config);
+  const std::string plan =
+      R"({"seed": 9, "orgs": [{"org": "TinyNet", "asn": 64740, "country": "US",
+           "probes": 1}]})";
+  constexpr int kRuns = 50;
+  int early = 0;
+  for (int i = 0; i < kRuns; ++i) {
+    auto submitted = svc.submit(plan);
+    ASSERT_EQ(submitted.status, 202) << submitted.error;
+    const std::string done_path = scratch.path() + "/" + submitted.id + ".done";
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    for (;;) {
+      auto status = svc.status(submitted.id);
+      ASSERT_TRUE(status.has_value());
+      if (status->state == RunState::completed) {
+        std::ifstream done_file(done_path);
+        std::stringstream text;
+        text << done_file.rdbuf();
+        auto done = jsonio::parse(text.str());
+        if (!done || (*done)["state"].as_string() != "completed") ++early;
+        break;
+      }
+      ASSERT_TRUE(status->state == RunState::queued || status->state == RunState::running);
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline) << submitted.id;
+    }
+  }
+  EXPECT_EQ(early, 0) << early << " of " << kRuns
+                      << " runs read completed before their done marker existed";
 }
 
 TEST(Service, VerdictLinesInFleetOrderAreTheRecordLines) {

@@ -2,6 +2,11 @@
 // datapath (routing, TTL, forwarding policy, bogon drops), and tracing.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <stdexcept>
+#include <utility>
+
 #include "simnet/simulator.h"
 
 namespace dnslocate::simnet {
@@ -107,6 +112,90 @@ TEST(Simulator, MaxEventsBoundsRunaway) {
   EXPECT_EQ(processed, 100u);
 }
 
+TEST(Simulator, SameTimeEventsFromAHandlerRunAfterQueuedOnes) {
+  Simulator sim(1);
+  std::vector<char> order;
+  sim.schedule(std::chrono::milliseconds(5), [&] {
+    order.push_back('a');
+    sim.schedule(SimDuration{0}, [&] { order.push_back('d'); });
+  });
+  sim.schedule(std::chrono::milliseconds(5), [&] { order.push_back('b'); });
+  sim.schedule(std::chrono::milliseconds(5), [&] { order.push_back('c'); });
+  sim.run_until_idle();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'c', 'd'}));
+  EXPECT_EQ(sim.now(), std::chrono::milliseconds(5));
+}
+
+TEST(Simulator, ReusedEventSlotsKeepTimeThenSequenceOrder) {
+  // Handlers keep scheduling while earlier events retire, so the queue
+  // recycles its storage thousands of times; the run order must still be
+  // exactly (time, scheduling order).
+  constexpr int kEvents = 10'000;
+  Simulator sim(1);
+  Rng delays(123);
+  int scheduled = 0;
+  std::vector<std::pair<SimTime, int>> ran;
+  std::function<void(int)> add = [&](int fanout) {
+    for (int i = 0; i < fanout && scheduled < kEvents; ++i) {
+      int id = scheduled++;
+      sim.schedule(std::chrono::microseconds(delays.uniform(4) * 250), [&, id] {
+        ran.emplace_back(sim.now(), id);
+        add(1 + static_cast<int>(delays.uniform(2)));
+      });
+    }
+  };
+  add(64);
+  sim.run_until_idle();
+  ASSERT_EQ(ran.size(), static_cast<std::size_t>(kEvents));
+  for (std::size_t i = 1; i < ran.size(); ++i) {
+    ASSERT_LE(ran[i - 1].first, ran[i].first) << "event " << i;
+    if (ran[i - 1].first == ran[i].first) {
+      ASSERT_LT(ran[i - 1].second, ran[i].second) << "event " << i;
+    }
+  }
+}
+
+/// Counts runs and destructions of the live (not moved-from) copy.
+struct Tally {
+  int runs = 0;
+  int destroyed = 0;
+};
+struct Tracked {
+  Tally* tally;
+  Tracked(Tally* t) : tally(t) {}  // NOLINT(google-explicit-constructor)
+  Tracked(Tracked&& other) noexcept : tally(std::exchange(other.tally, nullptr)) {}
+  Tracked(const Tracked&) = delete;
+  ~Tracked() {
+    if (tally != nullptr) ++tally->destroyed;
+  }
+};
+
+TEST(Simulator, HeapPathEventRunsAndIsDestroyedOnce) {
+  Tally tally;
+  {
+    Simulator sim(1);
+    std::array<std::byte, EventFn::kInlineCapacity + 1> ballast{};
+    auto big = [tracked = Tracked(&tally), ballast] { ++tracked.tally->runs; };
+    static_assert(sizeof(big) > EventFn::kInlineCapacity);
+    sim.schedule(std::chrono::milliseconds(1), std::move(big));
+    sim.run_until_idle();
+    EXPECT_EQ(tally.runs, 1);
+    EXPECT_EQ(tally.destroyed, 1);
+  }
+  EXPECT_EQ(tally.destroyed, 1);
+
+  // An event that never runs is destroyed once, with the simulator.
+  Tally pending;
+  {
+    Simulator sim(1);
+    std::array<std::byte, EventFn::kInlineCapacity + 1> ballast{};
+    sim.schedule(std::chrono::milliseconds(1),
+                 [tracked = Tracked(&pending), ballast] { ++tracked.tally->runs; });
+  }
+  EXPECT_EQ(pending.runs, 0);
+  EXPECT_EQ(pending.destroyed, 1);
+}
+
 /// Minimal sink app recording deliveries.
 struct SinkApp : UdpApp {
   std::vector<UdpPacket> received;
@@ -153,6 +242,75 @@ TEST(Device, DeliversToBoundApp) {
   net.sim.run_until_idle();
   ASSERT_EQ(net.sink.received.size(), 1u);
   EXPECT_EQ(net.sim.now(), std::chrono::milliseconds(5));  // link latency applied
+}
+
+TEST(Device, TransmitOnUnconnectedPortIsDroppedNoRoute) {
+  TwoHosts net;
+  TraceSink trace;
+  net.sim.set_trace(&trace);
+  UdpPacket p = packet_to(*netbase::IpAddress::parse("10.0.0.1"),
+                          *netbase::IpAddress::parse("10.0.0.2"));
+  net.sim.transmit(net.a, net.a_port + 7, p);  // a has one port
+  Device& loner = net.sim.add_device<Device>("loner");  // never connected
+  net.sim.transmit(loner, 0, p);
+  net.sim.run_until_idle();
+  EXPECT_TRUE(net.sink.received.empty());
+  EXPECT_EQ(trace.count(TraceEvent::dropped_no_route), 2u);
+  EXPECT_EQ(trace.count(TraceEvent::transmitted), 0u);
+}
+
+TEST(Device, ConnectingADeviceOfAnotherSimulatorThrows) {
+  // A device's ordinal indexes its own simulator's port table, so it cannot
+  // join a second one.
+  Simulator first(1), second(1);
+  Device& a = first.add_device<Device>("a");
+  Device& b = first.add_device<Device>("b");
+  Device& c = second.add_device<Device>("c");
+  first.connect(a, b);
+  EXPECT_THROW(second.connect(c, a), std::logic_error);
+}
+
+TEST(Device, FaultProfileSetAfterConnectApplies) {
+  TwoHosts net;
+  FaultPlan plan(5);
+  net.sim.set_fault_plan(&plan);
+  auto send = [&] {
+    net.a.send_local(net.sim, packet_to(*netbase::IpAddress::parse("10.0.0.1"),
+                                        *netbase::IpAddress::parse("10.0.0.2")));
+    net.sim.run_until_idle();
+  };
+  send();  // the link's first transmit, under the inert default profile
+  ASSERT_EQ(net.sink.received.size(), 1u);
+
+  FaultProfile drop_all;
+  drop_all.loss_good = 1.0;
+  plan.set_default_profile(drop_all);
+  send();
+  EXPECT_EQ(net.sink.received.size(), 1u);
+  EXPECT_EQ(net.sim.drops().fault_random, 1u);
+
+  // A class profile added later overrides the default for links tagged
+  // with that class only.
+  Simulator sim(1);
+  auto& a = sim.add_device<Device>("a");
+  auto& b = sim.add_device<Device>("b");
+  auto [a_p, b_p] = sim.connect(a, b, {.fault_class = "lan"});
+  (void)b_p;
+  a.add_local_ip(*netbase::IpAddress::parse("10.0.0.1"));
+  b.add_local_ip(*netbase::IpAddress::parse("10.0.0.2"));
+  a.set_default_route(a_p);
+  SinkApp sink;
+  b.bind_udp(53, &sink);
+  FaultPlan lan_plan(5);
+  sim.set_fault_plan(&lan_plan);
+  FaultProfile duplicating;
+  duplicating.duplicate_rate = 1.0;
+  lan_plan.set_class_profile("lan", duplicating);
+  a.send_local(sim, packet_to(*netbase::IpAddress::parse("10.0.0.1"),
+                              *netbase::IpAddress::parse("10.0.0.2")));
+  sim.run_until_idle();
+  EXPECT_EQ(sink.received.size(), 2u);
+  EXPECT_EQ(lan_plan.counters().duplicated, 1u);
 }
 
 TEST(Device, DropsWhenPortUnbound) {

@@ -3,6 +3,12 @@
 // simulator runs over real UDP sockets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <memory>
+#include <thread>
+#include <vector>
+
 #include "core/detector.h"
 #include "core/mapped_transport.h"
 #include "dnswire/debug_queries.h"
@@ -18,6 +24,25 @@ std::shared_ptr<resolvers::ResolverBehavior> test_resolver() {
   config.software = resolvers::unbound("1.17.0", "loopback-test");
   config.egress_v4 = *netbase::IpAddress::parse("127.0.0.1");
   return std::make_shared<resolvers::ResolverBehavior>(config);
+}
+
+TEST(LoopbackDnsServer, IdleServerStopsWellInsideOnePollSlice) {
+  // The serve loop polls in 50 ms slices; destroying the server must wake
+  // that poll rather than wait the slice out.
+  for (bool serve_tcp : {false, true}) {
+    std::vector<double> stop_ms;
+    for (int i = 0; i < 5; ++i) {
+      auto server = std::make_unique<LoopbackDnsServer>(test_resolver(), serve_tcp);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));  // serve thread is in poll
+      const auto start = std::chrono::steady_clock::now();
+      server.reset();
+      stop_ms.push_back(std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - start)
+                            .count());
+    }
+    std::sort(stop_ms.begin(), stop_ms.end());
+    EXPECT_LT(stop_ms[2], 25.0) << (serve_tcp ? "udp+tcp" : "udp") << " server";
+  }
 }
 
 TEST(UdpEngine, QueryRoundTripOverLoopback) {
